@@ -22,6 +22,12 @@
 #                    each run; every failure message carries its
 #                    CHAOS_SEED, so re-running with that seed exported
 #                    reproduces the schedule exactly
+#   make flake-short - build the cmd/efdd, efd/client and
+#                    internal/server test binaries once and run each
+#                    FLAKERUNS times (default 20) as separate
+#                    processes; every run must pass. Catches
+#                    startup-ordering races that an in-process
+#                    -count=N rerun hides
 #   make bench     - benchmark smoke run with allocation reporting; also
 #                    writes machine-readable results to BENCH_<rev>.json
 #                    plus the raw text to BENCH_<rev>.txt
@@ -57,10 +63,11 @@ GO ?= go
 REV := $(shell git rev-parse --short HEAD 2>/dev/null || echo worktree)
 FUZZTIME ?= 10s
 CHAOSTIME ?= 2s
+FLAKERUNS ?= 20
 
-.PHONY: check test test-race vet lint api-golden fmt-check bench bench-compare fuzz-short chaos-short obs-golden
+.PHONY: check test test-race vet lint api-golden fmt-check bench bench-compare fuzz-short chaos-short obs-golden flake-short
 
-check: test-race vet lint fmt-check chaos-short obs-golden
+check: test-race vet lint fmt-check chaos-short obs-golden flake-short
 
 # The Prometheus exposition is operator-facing API: scrapers parse it.
 # The golden pins it byte-for-byte (family ordering, label sorting,
@@ -104,6 +111,9 @@ fuzz-short:
 # failure prints CHAOS_SEED=...; export it to replay that schedule.
 chaos-short:
 	CHAOS_TIME=$(CHAOSTIME) $(GO) test -race -count=1 -run 'Chaos' ./internal/tsdb ./efd/monitor
+
+flake-short:
+	GO=$(GO) ./scripts/flake.sh $(FLAKERUNS)
 
 bench:
 	./scripts/bench.sh "BENCH_$(REV).json"

@@ -67,8 +67,8 @@ func main() {
 // run is the daemon body, factored out of main so tests can drive it:
 // it serves until the context is cancelled or SIGINT/SIGTERM arrives,
 // then shuts down gracefully and re-saves the dictionary when -save is
-// set. onListen, if non-nil, is called with the bound address once the
-// listener is up.
+// set. onListen, if non-nil, is called with the service address once
+// every listener is up.
 func run(ctx context.Context, args []string, out io.Writer, onListen func(addr string)) error {
 	fs := flag.NewFlagSet("efdd", flag.ContinueOnError)
 	fs.SetOutput(out)
@@ -189,19 +189,18 @@ func run(ctx context.Context, args []string, out io.Writer, onListen func(addr s
 		eng.CloseStore()
 		return err
 	}
-	logger.Info("listening", "addr", ln.Addr().String())
-	if onListen != nil {
-		onListen(ln.Addr().String())
-	}
 
 	// The optional ops listener keeps scrapes, profiles, and debug
 	// reads off the service listener (and off its timeouts): /metrics
 	// for Prometheus, the full net/http/pprof surface, and the
-	// slow-request ring.
+	// slow-request ring. It is up before readiness is announced, so a
+	// caller woken by "listening" (or onListen) finds every listener
+	// bound.
 	var opsSrv *http.Server
 	if *opsAddr != "" {
 		opsLn, err := net.Listen("tcp", *opsAddr)
 		if err != nil {
+			ln.Close()
 			eng.CloseStore()
 			return fmt.Errorf("ops listener: %w", err)
 		}
@@ -216,6 +215,10 @@ func run(ctx context.Context, args []string, out io.Writer, onListen func(addr s
 		opsSrv = &http.Server{Handler: opsMux, ReadHeaderTimeout: 5 * time.Second}
 		logger.Info("ops listening", "addr", opsLn.Addr().String())
 		go opsSrv.Serve(opsLn)
+	}
+	logger.Info("listening", "addr", ln.Addr().String())
+	if onListen != nil {
+		onListen(ln.Addr().String())
 	}
 
 	httpSrv := &http.Server{

@@ -3,7 +3,6 @@ package client
 import (
 	"context"
 	"errors"
-	"math"
 	"math/rand"
 	"net/http"
 	"sync"
@@ -31,10 +30,11 @@ type BatchWriterConfig struct {
 	// also guarantees batches arrive at the server in flush order.
 	MaxInFlight int
 	// Columnar regroups each job's buffered samples into contiguous
-	// (metric, node) runs and sends them with IngestRuns — the binary
-	// encoding when the server speaks it. Samples keep their arrival
-	// order within each (metric, node) run, exactly like the server's
-	// own JSON regrouping.
+	// (metric, node) runs with monitor.RunBuffer — the engine's own
+	// regrouping and validation — and sends them with IngestRuns, in
+	// the binary encoding unless the client was built with
+	// WithBinaryIngest(BinaryNever). A sample the server would reject
+	// fails the flush before anything is sent.
 	Columnar bool
 	// OverloadRetries bounds the re-sends of a buffer the server shed
 	// with 429 (or answered 503): up to this many retries after the
@@ -224,7 +224,13 @@ func (w *BatchWriter) sendRetry(ctx context.Context, batches []monitor.Batch) er
 // sendOnce posts one buffer.
 func (w *BatchWriter) sendOnce(ctx context.Context, batches []monitor.Batch) error {
 	if w.cfg.Columnar {
-		_, err := w.c.IngestRuns(ctx, regroup(batches))
+		var buf monitor.RunBuffer
+		for _, b := range batches {
+			if err := buf.Add(b.JobID, b.Samples); err != nil {
+				return err
+			}
+		}
+		_, err := w.c.IngestRuns(ctx, buf.Batches)
 		return err
 	}
 	_, err := w.c.IngestBatches(ctx, batches)
@@ -254,30 +260,6 @@ func overloadDelay(err error, base time.Duration, attempt int) time.Duration {
 		d = apiErr.RetryAfter
 	}
 	return time.Duration(float64(d) * (0.75 + 0.5*rand.Float64()))
-}
-
-// regroup converts buffered row-form samples into columnar runs,
-// splitting at every (metric, node) change — the same contiguous-run
-// rule the server's JSON path applies, so the resulting stream state
-// is identical. Offsets round to the nanosecond grid exactly as the
-// server rounds JSON offsets.
-func regroup(batches []monitor.Batch) []monitor.RunBatch {
-	out := make([]monitor.RunBatch, len(batches))
-	for bi, b := range batches {
-		rb := monitor.RunBatch{JobID: b.JobID}
-		samples := b.Samples
-		for i := 0; i < len(samples); {
-			metric, node := samples[i].Metric, samples[i].Node
-			run := monitor.Run{Metric: metric, Node: node}
-			for ; i < len(samples) && samples[i].Metric == metric && samples[i].Node == node; i++ {
-				run.Offsets = append(run.Offsets, time.Duration(math.Round(samples[i].OffsetS*float64(time.Second))))
-				run.Values = append(run.Values, samples[i].Value)
-			}
-			rb.Runs = append(rb.Runs, run)
-		}
-		out[bi] = rb
-	}
-	return out
 }
 
 // tick is the interval flusher.

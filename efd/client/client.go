@@ -15,10 +15,9 @@
 // the binary columnar encoding (application/x-efd-runs): columns are
 // framed with the shared EFD wire codec, cost a few bytes per sample
 // instead of a JSON object, and round-trip float64 values bit-exactly.
-// Binary support is negotiated transparently: the first IngestRuns
-// call tries the binary encoding and, if the server rejects the media
-// type (an older deployment), falls back to JSON for the rest of the
-// client's lifetime — callers never see the difference.
+// There is no negotiation: every v1 server speaks binary, and a
+// rejection surfaces as the server's error.
+// WithBinaryIngest(BinaryNever) sends IngestRuns as JSON instead.
 //
 // For high-rate feeders, a BatchWriter buffers samples per job and
 // flushes them as multi-job batches by size and by interval, with a
@@ -50,7 +49,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/efd/monitor"
@@ -65,14 +63,10 @@ const ContentTypeRuns = wire.ContentTypeRuns
 type BinaryMode int
 
 const (
-	// BinaryAuto (the default) tries the binary encoding and falls
-	// back to JSON permanently if the server rejects it.
-	BinaryAuto BinaryMode = iota
+	// BinaryAlways (the default) sends the binary encoding.
+	BinaryAlways BinaryMode = iota
 	// BinaryNever always sends JSON.
 	BinaryNever
-	// BinaryAlways sends binary and surfaces the server's rejection
-	// instead of falling back.
-	BinaryAlways
 )
 
 // Option configures a Client.
@@ -163,10 +157,6 @@ type Client struct {
 	proberStop chan struct{} // nil on single-endpoint clients
 	proberWG   sync.WaitGroup
 	closeOnce  sync.Once
-
-	// binaryOK memoizes the negotiation outcome in BinaryAuto mode:
-	// 0 untried, 1 supported, -1 rejected (JSON from now on).
-	binaryOK atomic.Int32
 
 	encPool sync.Pool // *encBuf, reused binary encode buffers
 }
@@ -615,13 +605,15 @@ func mergeIngestResults(a, b IngestResult) IngestResult {
 	return out
 }
 
-// IngestRuns feeds columnar runs — the cheapest ingest form. With
-// BinaryAuto (default) the binary encoding is negotiated on first
-// use; see the package comment. Oversized requests (413) bisect and
-// re-send like IngestBatches — across batches, then runs, then within
-// a run's columns.
+// IngestRuns feeds columnar runs — the cheapest ingest form — in the
+// binary encoding, or as JSON under WithBinaryIngest(BinaryNever).
+// Oversized requests (413) bisect and re-send like IngestBatches —
+// across batches, then runs, then within a run's columns.
 func (c *Client) IngestRuns(ctx context.Context, batches []monitor.RunBatch) (IngestResult, error) {
-	out, err := c.ingestRunsNegotiated(ctx, batches)
+	if c.binary == BinaryNever {
+		return c.IngestBatches(ctx, runsToBatches(batches))
+	}
+	out, err := c.ingestRunsBinary(ctx, batches)
 	if !entityTooLarge(err) {
 		return out, err
 	}
@@ -662,45 +654,6 @@ func splitRunBatches(batches []monitor.RunBatch) (left, right []monitor.RunBatch
 	return nil, nil, false
 }
 
-// ingestRunsNegotiated is one columnar ingest, unsplit, with the
-// binary/JSON negotiation.
-func (c *Client) ingestRunsNegotiated(ctx context.Context, batches []monitor.RunBatch) (IngestResult, error) {
-	mode := c.binary
-	if mode == BinaryAuto && c.binaryOK.Load() < 0 {
-		mode = BinaryNever
-	}
-	if mode == BinaryNever {
-		return c.IngestBatches(ctx, runsToBatches(batches))
-	}
-	out, err := c.ingestRunsBinary(ctx, batches)
-	if err == nil {
-		c.binaryOK.Store(1)
-		return out, nil
-	}
-	if mode == BinaryAuto && c.binaryOK.Load() == 0 && binaryRejected(err) {
-		// Negotiation: the server does not speak the binary encoding.
-		// Fall back to JSON now and for every later call.
-		c.binaryOK.Store(-1)
-		return c.IngestBatches(ctx, runsToBatches(batches))
-	}
-	return out, err
-}
-
-// binaryRejected recognizes "the server does not understand the
-// binary media type": 415 from a content-negotiating server, or a 400
-// without an error code — a legacy pre-envelope server that tried to
-// parse the frames as JSON. A 400 WITH a code comes from a server
-// that does speak binary and found a genuine problem (a NaN value, a
-// corrupt frame); falling back to JSON would just repeat it.
-func binaryRejected(err error) bool {
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) {
-		return false
-	}
-	return apiErr.StatusCode == http.StatusUnsupportedMediaType ||
-		(apiErr.StatusCode == http.StatusBadRequest && apiErr.Code == "")
-}
-
 // ingestRunsBinary encodes the batches with the shared wire codec
 // into a pooled buffer and posts them as application/x-efd-runs.
 func (c *Client) ingestRunsBinary(ctx context.Context, batches []monitor.RunBatch) (IngestResult, error) {
@@ -722,10 +675,10 @@ func (c *Client) ingestRunsBinary(ctx context.Context, batches []monitor.RunBatc
 	return out, err
 }
 
-// runsToBatches converts columnar runs to the JSON sample form — the
-// fallback encoding. Offsets convert to float seconds; offsets on a
-// nanosecond grid round-trip exactly (the server rounds back to the
-// nearest nanosecond).
+// runsToBatches converts columnar runs to the JSON sample form.
+// Offsets convert to float seconds; offsets on a nanosecond grid
+// round-trip exactly (the server rounds back to the nearest
+// nanosecond).
 func runsToBatches(batches []monitor.RunBatch) []monitor.Batch {
 	out := make([]monitor.Batch, len(batches))
 	for i, b := range batches {

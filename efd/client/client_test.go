@@ -307,54 +307,6 @@ func TestBinaryVersusJSONBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBinaryNegotiationFallback points the client at a legacy server
-// that answers binary frames with a flat 400; IngestRuns must fall
-// back to JSON transparently and remember the outcome.
-func TestBinaryNegotiationFallback(t *testing.T) {
-	var binaryPosts, jsonPosts atomic.Int32
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get("Content-Type") == ContentTypeRuns {
-			binaryPosts.Add(1)
-			// Legacy pre-envelope shape: a flat error string.
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusBadRequest)
-			w.Write([]byte(`{"error":"bad JSON: invalid character"}`))
-			return
-		}
-		jsonPosts.Add(1)
-		var req struct {
-			Batches []monitor.Batch `json:"batches"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			t.Errorf("fallback JSON decode: %v", err)
-		}
-		n := 0
-		for _, b := range req.Batches {
-			n += len(b.Samples)
-		}
-		json.NewEncoder(w).Encode(map[string]int{"accepted": n})
-	})
-	ts := httptest.NewServer(h)
-	t.Cleanup(ts.Close)
-	c := New(ts.URL)
-	runs := []monitor.RunBatch{{JobID: "j", Runs: []monitor.Run{{
-		Metric: "m", Node: 0,
-		Offsets: []time.Duration{0, time.Second},
-		Values:  []float64{1, 2},
-	}}}}
-	res, err := c.IngestRuns(context.Background(), runs)
-	if err != nil || res.Accepted != 2 {
-		t.Fatalf("fallback ingest: %+v, %v", res, err)
-	}
-	// Second call goes straight to JSON: the rejection is memoized.
-	if _, err := c.IngestRuns(context.Background(), runs); err != nil {
-		t.Fatal(err)
-	}
-	if b, j := binaryPosts.Load(), jsonPosts.Load(); b != 1 || j != 2 {
-		t.Errorf("binary=%d json=%d, want 1 and 2", b, j)
-	}
-}
-
 // TestBinaryGenuine400DoesNotFallBack: an enveloped 400 from a
 // binary-speaking server (NaN value) must surface, not trigger JSON.
 func TestBinaryGenuine400DoesNotFallBack(t *testing.T) {
@@ -595,6 +547,40 @@ func TestBatchWriterColumnar(t *testing.T) {
 	}
 	if state[0] != state[1] {
 		t.Errorf("columnar writer diverged from JSON writer:\n json:     %s\n columnar: %s", state[0], state[1])
+	}
+}
+
+// TestBatchWriterColumnarRejectsBadOffset: an offset the server
+// refuses over JSON fails the columnar flush too — with ErrInvalid,
+// before anything is sent — and no sample of the buffer is accepted.
+func TestBatchWriterColumnarRejectsBadOffset(t *testing.T) {
+	for _, columnar := range []bool{false, true} {
+		_, c := newFixture(t)
+		ctx := context.Background()
+		if err := c.Register(ctx, "bad", 2); err != nil {
+			t.Fatal(err)
+		}
+		w := c.NewBatchWriter(BatchWriterConfig{FlushInterval: -1, OverloadRetries: -1, Columnar: columnar})
+		for _, s := range []monitor.Sample{
+			{Metric: apps.HeadlineMetric, Node: 0, OffsetS: 1, Value: 6000},
+			{Metric: apps.HeadlineMetric, Node: 1, OffsetS: 1e300, Value: 6000},
+		} {
+			if err := w.Add("bad", s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		err := w.Flush(ctx)
+		var apiErr *APIError
+		switch {
+		case columnar && !errors.Is(err, monitor.ErrInvalid):
+			t.Errorf("columnar flush: %v, want ErrInvalid", err)
+		case !columnar && (!errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest):
+			t.Errorf("JSON flush: %v, want HTTP 400", err)
+		}
+		w.Close()
+		if met, err := c.Metrics(ctx); err != nil || met.SamplesAccepted != 0 {
+			t.Errorf("columnar=%v: accepted %d samples (%v), want 0", columnar, met.SamplesAccepted, err)
+		}
 	}
 }
 

@@ -148,12 +148,15 @@ func TestMultiWriteFailoverOptIn(t *testing.T) {
 	home := newStub(t, monitor.StatusHealthy)
 	peer := newStub(t, monitor.StatusHealthy)
 	id := homedJobID(0, 2)
-	// No prober tick yet (long interval): both endpoints look serving,
-	// so routing alone cannot save the write — failover must.
+	// Only the immediate first sweep probes (long interval), and it
+	// runs before home dies: both endpoints look serving, so routing
+	// alone cannot save the write — failover must.
 	pinned := NewMulti([]string{home.ts.URL, peer.ts.URL}, WithHealthProbe(time.Hour))
 	defer pinned.Close()
 	rehoming := NewMulti([]string{home.ts.URL, peer.ts.URL}, WithHealthProbe(time.Hour), WithWriteFailover())
 	defer rehoming.Close()
+	waitEndpointStatus(t, pinned, 0, monitor.StatusHealthy)
+	waitEndpointStatus(t, rehoming, 0, monitor.StatusHealthy)
 
 	home.ts.Close()
 	if _, err := pinned.Ingest(ctx, id, sample); err == nil {

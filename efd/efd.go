@@ -55,8 +55,9 @@
 //   - efd/client: the typed SDK for the efdd daemon's v1 HTTP API
 //     (documented in API.md), with connection reuse, retrying
 //     idempotent calls, a size/interval-flushing BatchWriter, and a
-//     negotiated binary columnar ingest encoding that round-trips
-//     float64 telemetry bit-exactly at a fraction of JSON's cost.
+//     binary columnar ingest encoding (the default for IngestRuns)
+//     that round-trips float64 telemetry bit-exactly at a fraction of
+//     JSON's cost.
 //
 // The efdd daemon itself (cmd/efdd) is a thin HTTP adapter
 // (internal/server) over exactly the efd/monitor engine, so embedded

@@ -43,6 +43,7 @@ import (
 	"io"
 	"log/slog"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -142,6 +143,9 @@ type Engine struct {
 	// inst is forwarded to the store on OpenStore and on every probe
 	// reopen, so tsdb-level instruments survive store incarnations.
 	inst tsdb.Instruments
+
+	// runBufs holds idle row-form ingest scratch (runBuffer).
+	runBufs chan *RunBuffer
 }
 
 type shard struct {
@@ -167,12 +171,6 @@ type job struct {
 	// done marks a job that has been labelled or closed; a caller
 	// that resolved the pointer before removal treats it as gone.
 	done bool
-	// colOff/colVal are the job's reused ingest scratch: feedSamples
-	// regroups each wire batch into columnar (metric, node) runs here
-	// before handing them to Stream.FeedRun, so steady-state ingest
-	// allocates nothing per batch. Guarded by mu like the stream.
-	colOff []time.Duration
-	colVal []float64
 }
 
 // counters are the engine's monotonically increasing metrics,
@@ -201,7 +199,7 @@ type counters struct {
 // ownership of the dictionary's concurrency: all further access must
 // go through the engine (or Dictionary()).
 func New(dict *efd.Dictionary) *Engine {
-	e := &Engine{dict: core.Share(dict), MaxJobs: DefaultMaxJobs}
+	e := &Engine{dict: core.Share(dict), MaxJobs: DefaultMaxJobs, runBufs: make(chan *RunBuffer, runBufferPool)}
 	for i := range e.shards {
 		e.shards[i].jobs = make(map[string]*job)
 	}
@@ -295,6 +293,88 @@ func ValidateSamples(jobID string, samples []Sample) error {
 		}
 	}
 	return nil
+}
+
+// RunBuffer regroups row-form samples into columnar runs, the
+// engine's only ingest currency. Its storage is reused across Reset,
+// so a warmed buffer converts without allocating. The zero value is
+// ready to use.
+type RunBuffer struct {
+	// Batches holds one RunBatch per successful Add, in call order.
+	// Their runs alias the buffer's storage until the next Reset.
+	Batches []RunBatch
+
+	runs []Run
+	offs []time.Duration
+	vals []float64
+}
+
+// Add validates one job's samples (ValidateSamples) and appends them
+// to Batches as contiguous (metric, node) runs in arrival order —
+// LDMS forwarders emit long runs of one metric on one node, so the
+// stream resolves metric configuration and window accumulators once
+// per run instead of once per sample. An invalid batch appends
+// nothing; the error wraps ErrInvalid.
+func (b *RunBuffer) Add(jobID string, samples []Sample) error {
+	if err := ValidateSamples(jobID, samples); err != nil {
+		return err
+	}
+	// Room for every sample up front: a run must not straddle a
+	// reallocation. Earlier runs keep the old array, which stays valid.
+	b.offs = slices.Grow(b.offs, len(samples))
+	b.vals = slices.Grow(b.vals, len(samples))
+	first := len(b.runs)
+	for i := 0; i < len(samples); {
+		metric, node := samples[i].Metric, samples[i].Node
+		start := len(b.offs)
+		for ; i < len(samples) && samples[i].Metric == metric && samples[i].Node == node; i++ {
+			// Round, don't truncate: a forwarder that accumulated
+			// 59.999999999999996 means the 60 s tick, and truncation
+			// would silently drop it from the [60:120) window.
+			// ValidateSamples bounded the magnitude.
+			b.offs = append(b.offs, time.Duration(math.Round(samples[i].OffsetS*float64(time.Second))))
+			b.vals = append(b.vals, samples[i].Value)
+		}
+		end := len(b.offs)
+		b.runs = append(b.runs, Run{Metric: metric, Node: node, Offsets: b.offs[start:end:end], Values: b.vals[start:end:end]})
+	}
+	b.Batches = append(b.Batches, RunBatch{JobID: jobID, Runs: b.runs[first:len(b.runs):len(b.runs)]})
+	return nil
+}
+
+// Reset empties the buffer, keeping its storage for the next Adds.
+func (b *RunBuffer) Reset() {
+	clear(b.runs) // drop the metric strings the runs pinned
+	clear(b.Batches)
+	b.Batches, b.runs, b.offs, b.vals = b.Batches[:0], b.runs[:0], b.offs[:0], b.vals[:0]
+}
+
+// runBufferPool is how many idle RunBuffers an engine keeps: enough
+// for the concurrent row-form ingests of a busy server, few enough
+// that buffers grown by rare huge requests do not pin much memory.
+const runBufferPool = 16
+
+// runBuffer takes a RunBuffer from the engine's pool. The pool is a
+// buffered channel rather than a sync.Pool because the race detector
+// makes a sync.Pool drop items at random, and a warmed Job.Ingest
+// must not allocate in either build.
+func (e *Engine) runBuffer() *RunBuffer {
+	select {
+	case b := <-e.runBufs:
+		return b
+	default:
+		return new(RunBuffer)
+	}
+}
+
+// releaseRunBuffer resets b and returns it to the pool, or drops it
+// when the pool is full.
+func (e *Engine) releaseRunBuffer(b *RunBuffer) {
+	b.Reset()
+	select {
+	case e.runBufs <- b:
+	default:
+	}
 }
 
 // validateRuns applies the same value hygiene to columnar runs (their
@@ -403,59 +483,92 @@ func (e *Engine) Lookup(id string) (*Job, bool) {
 // resolved shard by shard (one read-lock per shard per call), and a
 // store commit — one fsync — acknowledges the entire call. It returns
 // the number of samples fed and the sorted IDs of unknown jobs;
-// feeding the rest proceeds despite unknowns.
+// feeding the rest proceeds despite unknowns. The samples are
+// regrouped into runs (RunBuffer) and fed exactly as IngestRuns feeds.
 func (e *Engine) IngestBatches(batches []Batch) (accepted int, unknown []string, err error) {
 	start := e.obsStart()
-	accepted, unknown, err = e.ingestBatches(batches)
+	buf := e.runBuffer()
+	err = e.checkBatches(len(batches), func(i int) error {
+		if err := validateJobID(batches[i].JobID); err != nil {
+			return err
+		}
+		return buf.Add(batches[i].JobID, batches[i].Samples)
+	})
+	if err == nil {
+		accepted, unknown, err = e.ingest(buf.Batches)
+	}
+	e.releaseRunBuffer(buf)
 	e.observeIngest(start, accepted)
 	return accepted, unknown, err
 }
 
-func (e *Engine) ingestBatches(batches []Batch) (accepted int, unknown []string, err error) {
+// IngestRuns is IngestBatches for columnar run batches — the binary
+// wire path and the native form for columnar feeders. No regrouping
+// happens: each run feeds the stream (and the WAL) as one columnar
+// append.
+func (e *Engine) IngestRuns(batches []RunBatch) (accepted int, unknown []string, err error) {
+	start := e.obsStart()
+	err = e.checkBatches(len(batches), func(i int) error {
+		if err := validateJobID(batches[i].JobID); err != nil {
+			return err
+		}
+		return validateRuns(batches[i].JobID, batches[i].Runs)
+	})
+	if err == nil {
+		accepted, unknown, err = e.ingest(batches)
+	}
+	e.observeIngest(start, accepted)
+	return accepted, unknown, err
+}
+
+// checkBatches runs check over all n batches of one ingest call
+// before anything is fed, books the call in Stats, and returns the
+// first validation error.
+func (e *Engine) checkBatches(n int, check func(i int) error) error {
 	// Count attempts first so rejected batches stay a subset of
 	// attempted ones in Stats (rejection rate can never read above
 	// 100%).
-	e.met.sampleBatches.Add(int64(len(batches)))
+	e.met.sampleBatches.Add(int64(n))
 	invalid := 0
-	var firstErr error
-	for _, b := range batches {
-		verr := validateJobID(b.JobID)
-		if verr == nil {
-			verr = ValidateSamples(b.JobID, b.Samples)
-		}
-		if verr != nil {
+	var first error
+	for i := 0; i < n; i++ {
+		if err := check(i); err != nil {
 			invalid++
-			if firstErr == nil {
-				firstErr = verr
+			if first == nil {
+				first = err
 			}
 		}
 	}
 	if invalid > 0 {
 		e.met.batchesRejected.Add(int64(invalid))
-		return 0, nil, firstErr
 	}
+	return first
+}
+
+// ingest is the one ingest core: it resolves validated run batches to
+// live jobs, feeds them, and commits the store once for the call.
+func (e *Engine) ingest(batches []RunBatch) (accepted int, unknown []string, err error) {
 	if len(batches) == 1 {
 		// Single-job fast path (the per-node LDMS forwarder shape):
-		// resolve directly, no shard grouping.
+		// resolve directly, no shard grouping allocations.
 		b := batches[0]
 		j := e.getJob(b.JobID)
 		if j == nil {
 			return 0, []string{b.JobID}, nil
 		}
-		n, ok, err := e.feedSamples(b.JobID, j, b.Samples)
-		accepted = n
+		n, ok, err := e.feedRuns(b.JobID, j, b.Runs)
 		if err != nil {
-			return accepted, nil, err
+			return n, nil, err
 		}
 		if !ok {
-			return accepted, []string{b.JobID}, nil
+			return n, []string{b.JobID}, nil
 		}
-		return accepted, nil, e.commitAccepted(accepted)
+		return n, nil, e.commitAccepted(n)
 	}
 	work, unknown := e.resolveByShard(len(batches), func(i int) string { return batches[i].JobID })
 	for _, rw := range work {
 		b := batches[rw.idx]
-		n, ok, err := e.feedSamples(b.JobID, rw.j, b.Samples)
+		n, ok, err := e.feedRuns(b.JobID, rw.j, b.Runs)
 		accepted += n
 		if err != nil {
 			return accepted, nil, err
@@ -500,71 +613,6 @@ func (e *Engine) resolveByShard(n int, id func(int) string) (work []resolvedJob,
 	return work, unknown
 }
 
-// IngestRuns is IngestBatches for columnar run batches — the binary
-// wire path and the native form for columnar feeders. No regrouping
-// happens: each run feeds the stream (and the WAL) as one columnar
-// append.
-func (e *Engine) IngestRuns(batches []RunBatch) (accepted int, unknown []string, err error) {
-	start := e.obsStart()
-	accepted, unknown, err = e.ingestRuns(batches)
-	e.observeIngest(start, accepted)
-	return accepted, unknown, err
-}
-
-func (e *Engine) ingestRuns(batches []RunBatch) (accepted int, unknown []string, err error) {
-	e.met.sampleBatches.Add(int64(len(batches)))
-	invalid := 0
-	var firstErr error
-	for _, b := range batches {
-		verr := validateJobID(b.JobID)
-		if verr == nil {
-			verr = validateRuns(b.JobID, b.Runs)
-		}
-		if verr != nil {
-			invalid++
-			if firstErr == nil {
-				firstErr = verr
-			}
-		}
-	}
-	if invalid > 0 {
-		e.met.batchesRejected.Add(int64(invalid))
-		return 0, nil, firstErr
-	}
-	if len(batches) == 1 {
-		// Single-job fast path, mirroring IngestBatches: no shard
-		// grouping allocations on the binary forwarder hot path.
-		b := batches[0]
-		j := e.getJob(b.JobID)
-		if j == nil {
-			return 0, []string{b.JobID}, nil
-		}
-		n, ok, err := e.feedRuns(b.JobID, j, b.Runs)
-		accepted = n
-		if err != nil {
-			return accepted, nil, err
-		}
-		if !ok {
-			return accepted, []string{b.JobID}, nil
-		}
-		return accepted, nil, e.commitAccepted(accepted)
-	}
-	work, unknown := e.resolveByShard(len(batches), func(i int) string { return batches[i].JobID })
-	for _, rw := range work {
-		b := batches[rw.idx]
-		n, ok, err := e.feedRuns(b.JobID, rw.j, b.Runs)
-		accepted += n
-		if err != nil {
-			return accepted, nil, err
-		}
-		if !ok {
-			unknown = append(unknown, b.JobID)
-		}
-	}
-	sort.Strings(unknown)
-	return accepted, unknown, e.commitAccepted(accepted)
-}
-
 // commitAccepted makes a batch durable: one group-commit fsync
 // acknowledges however many runs the call appended. A commit failure
 // leaves the streams already fed (a retry would double-feed them);
@@ -587,42 +635,7 @@ func (e *Engine) commitAccepted(accepted int) error {
 	return nil
 }
 
-// feedSamples applies one batch of pre-validated samples to a job
-// under its mutex, regrouping them into contiguous (metric, node)
-// runs in the job's reused scratch — LDMS forwarders emit long runs
-// of one metric on one node, so the stream resolves metric
-// configuration and window accumulators once per run instead of once
-// per sample.
-func (e *Engine) feedSamples(id string, j *job, samples []Sample) (int, bool, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.done {
-		return 0, false, nil
-	}
-	fed := 0
-	for i := 0; i < len(samples); {
-		metric, node := samples[i].Metric, samples[i].Node
-		j.colOff, j.colVal = j.colOff[:0], j.colVal[:0]
-		for ; i < len(samples) && samples[i].Metric == metric && samples[i].Node == node; i++ {
-			// Round, don't truncate: a forwarder that accumulated
-			// 59.999999999999996 means the 60 s tick, and truncation
-			// would silently drop it from the [60:120) window.
-			// ValidateSamples already bounded the magnitude.
-			offset := time.Duration(math.Round(samples[i].OffsetS * float64(time.Second)))
-			j.colOff = append(j.colOff, offset)
-			j.colVal = append(j.colVal, samples[i].Value)
-		}
-		n, ok, err := e.feedRunLocked(id, j, metric, node, j.colOff, j.colVal, fed)
-		fed += n
-		if !ok || err != nil {
-			return fed, ok, err
-		}
-	}
-	j.samples += int64(fed)
-	return fed, true, nil
-}
-
-// feedRuns is feedSamples for ready-made columnar runs.
+// feedRuns applies one job's pre-validated runs under its mutex.
 func (e *Engine) feedRuns(id string, j *job, runs []Run) (int, bool, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -795,32 +808,27 @@ func (jb *Job) ID() string { return jb.id }
 // fed. With a store attached the batch is durable (one fsync) before
 // Ingest returns.
 func (jb *Job) Ingest(samples []Sample) (int, error) {
-	if err := ValidateSamples(jb.id, samples); err != nil {
-		jb.e.met.sampleBatches.Add(1)
-		jb.e.met.batchesRejected.Add(1)
-		return 0, err
+	buf := jb.e.runBuffer()
+	n, err := 0, jb.e.checkBatches(1, func(int) error { return buf.Add(jb.id, samples) })
+	if err == nil {
+		n, err = jb.ingest(buf.Batches[0].Runs)
 	}
-	jb.e.met.sampleBatches.Add(1)
-	start := jb.e.obsStart()
-	n, ok, err := jb.e.feedSamples(jb.id, jb.j, samples)
-	if err == nil && ok {
-		err = jb.e.commitAccepted(n)
-	} else if err == nil {
-		err = fmt.Errorf("%w: %q", ErrUnknownJob, jb.id)
-	}
-	jb.e.observeIngest(start, n)
+	jb.e.releaseRunBuffer(buf)
 	return n, err
 }
 
 // IngestRun feeds one columnar (metric, node) run.
 func (jb *Job) IngestRun(metric string, node int, offsets []time.Duration, values []float64) (int, error) {
 	runs := []Run{{Metric: metric, Node: node, Offsets: offsets, Values: values}}
-	if err := validateRuns(jb.id, runs); err != nil {
-		jb.e.met.sampleBatches.Add(1)
-		jb.e.met.batchesRejected.Add(1)
+	if err := jb.e.checkBatches(1, func(int) error { return validateRuns(jb.id, runs) }); err != nil {
 		return 0, err
 	}
-	jb.e.met.sampleBatches.Add(1)
+	return jb.ingest(runs)
+}
+
+// ingest feeds validated runs to this handle's job — not to whatever
+// job holds the ID now — and commits them.
+func (jb *Job) ingest(runs []Run) (int, error) {
 	start := jb.e.obsStart()
 	n, ok, err := jb.e.feedRuns(jb.id, jb.j, runs)
 	if err == nil && ok {

@@ -157,6 +157,8 @@ func TestLabelBeforeComplete(t *testing.T) {
 
 // TestRunsMatchSamples: feeding columnar runs produces bit-identical
 // recognition state to feeding the same telemetry as row samples.
+// One row offset is 59.999999999999996 s, an accumulated 60 s tick:
+// it must round into the [60:120) window, not truncate out of it.
 func TestRunsMatchSamples(t *testing.T) {
 	values := []float64{6010.123456789, 6009.87654321, 6010.5, 6011.25}
 	e1 := New(testDict(t))
@@ -164,7 +166,11 @@ func TestRunsMatchSamples(t *testing.T) {
 	var samples []Sample
 	for node := 0; node < 2; node++ {
 		for sec := 0; sec <= 125; sec++ {
-			samples = append(samples, Sample{Metric: apps.HeadlineMetric, Node: node, OffsetS: float64(sec), Value: values[sec%len(values)]})
+			off := float64(sec)
+			if node == 0 && sec == 60 {
+				off = 59.999999999999996
+			}
+			samples = append(samples, Sample{Metric: apps.HeadlineMetric, Node: node, OffsetS: off, Value: values[sec%len(values)]})
 		}
 	}
 	if _, err := j1.Ingest(samples); err != nil {
@@ -195,6 +201,17 @@ func TestRunsMatchSamples(t *testing.T) {
 	b2, _ := json.Marshal(s2)
 	if string(b1) != string(b2) {
 		t.Errorf("runs diverged from samples:\n samples: %s\n runs:    %s", b1, b2)
+	}
+	// The recognition answer can hide a sample in the wrong window;
+	// the window means cannot.
+	for _, w := range core.DefaultConfig(2).Windows {
+		for node := 0; node < 2; node++ {
+			m1, ok1 := j1.j.stream.WindowMean(apps.HeadlineMetric, node, w)
+			m2, ok2 := j2.j.stream.WindowMean(apps.HeadlineMetric, node, w)
+			if ok1 != ok2 || m1 != m2 {
+				t.Errorf("window %v node %d: samples mean %v (%v), runs mean %v (%v)", w, node, m1, ok1, m2, ok2)
+			}
+		}
 	}
 }
 

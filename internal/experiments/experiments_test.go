@@ -403,3 +403,16 @@ func TestRenderers(t *testing.T) {
 		t.Errorf("per-dimension rendering:\n%s", b.String())
 	}
 }
+
+// TestMeanOfOrderIndependent: float addition is not associative, so a
+// mean summed in map order would change in its last bit from run to
+// run. Summed in key order, {1e16, 1, -1e16, 1} is exactly 1/4 every
+// time.
+func TestMeanOfOrderIndependent(t *testing.T) {
+	m := map[string]float64{"a": 1e16, "b": 1, "c": -1e16, "d": 1}
+	for i := 0; i < 200; i++ {
+		if got := meanOf(m); got != 0.25 {
+			t.Fatalf("call %d: meanOf = %v, want 0.25", i, got)
+		}
+	}
+}

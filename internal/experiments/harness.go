@@ -2,7 +2,7 @@
 // recognition protocols of Figure 2 (normal fold, soft input, soft
 // unknown, hard input, hard unknown) for both the EFD and the
 // Taxonomist baseline, the per-metric sweep of Table 3, the example
-// dictionary of Table 4, and the ablations DESIGN.md calls out.
+// dictionary of Table 4, and the ablations in ablations.go.
 package experiments
 
 import (
@@ -168,14 +168,16 @@ func (h *Harness) foldRun(fn func(train, test *dataset.Dataset) (foldPairs, erro
 	return merged, nil
 }
 
-// meanOf averages the values of a per-dimension score map.
+// meanOf averages the values of a per-dimension score map, summing in
+// key order: float addition is not associative, so map order would
+// make the last bit vary between runs.
 func meanOf(m map[string]float64) float64 {
 	if len(m) == 0 {
 		return 0
 	}
 	s := 0.0
-	for _, v := range m {
-		s += v
+	for _, k := range sortedKeys(m) {
+		s += m[k]
 	}
 	return s / float64(len(m))
 }

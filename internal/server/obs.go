@@ -81,16 +81,6 @@ func (s *Server) EnableObs(reg *obs.Registry, traceSeed uint64) {
 	}
 }
 
-// MetricsRegistry returns the registry EnableObs was given, or nil —
-// the hook cmd/efdd uses to serve the same exposition on a separate
-// ops listener.
-func (s *Server) MetricsRegistry() *obs.Registry {
-	if s.obs == nil {
-		return nil
-	}
-	return s.obs.reg
-}
-
 // statusWriter observes the status code and body bytes of a response.
 type statusWriter struct {
 	http.ResponseWriter
