@@ -13,9 +13,11 @@
 #   make test      - build + tests only (the original tier-1 command)
 #   make test-race - build + tests under -race
 #   make fuzz-short - bounded fuzz pass (FUZZTIME per target, default
-#                    10s) over the tsdb WAL/segment decoders and the
-#                    LDMS CSV reader: every parser that consumes bytes
-#                    a crash or a rotted disk may have produced
+#                    10s) over the tsdb WAL/segment decoders, the
+#                    LDMS CSV reader, and the wire run decoder and the
+#                    application/x-efd-runs body decoder: every parser
+#                    that consumes bytes a crash, a rotted disk or the
+#                    network may have produced
 #   make chaos-short - seeded fault-injection chaos pass (CHAOSTIME
 #                    wall-clock per test, default 2s) over the tsdb
 #                    store and the monitor engine, with a fresh seed
@@ -41,15 +43,17 @@
 #                    of check): /metrics text must stay byte-stable
 #   make bench-compare - benchstat (or a plain-awk fallback) over the
 #                    two most recent BENCH_<rev>.txt files
-#   make vet       - static analysis only (the stock go vet pass)
+#   make vet       - static analysis only (the stock go vet pass, over
+#                    the module and the perfbench benchmark module)
 #   make lint      - the repo's own analyzers: efdvet (internal/
 #                    analysis, documented in LINTS.md) enforcing the
 #                    vfs seam, the off-lock group-commit rule, the
 #                    transitive hot-path allocation contract (call-
 #                    graph propagation from //efd:hotpath roots),
 #                    whole-module atomic-field discipline, the locked
-#                    public API surface, errors.Is on sentinels, and
-#                    no process exits in libraries; the driver prints
+#                    public API surface, errors.Is on sentinels, no
+#                    process exits in libraries, and no code that no
+#                    production path reaches (deadcode); efdvet prints
 #                    the call-graph build cost to stderr so analysis
 #                    regressions show in CI logs; exit 2 means the
 #                    tree failed to typecheck and the analyzers
@@ -87,8 +91,12 @@ test:
 test-race:
 	$(GO) build ./... && $(GO) test -race ./...
 
+# perfbench is a sibling module that imports internal/*, so the
+# deadcode lint cannot see its callers; vetting it here fails the gate
+# when a deletion breaks the benchmark.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 lint:
 	$(GO) run ./cmd/efdvet ./...
@@ -105,6 +113,8 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/tsdb
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentOpen$$' -fuzztime $(FUZZTIME) ./internal/tsdb
 	$(GO) test -run '^$$' -fuzz '^FuzzReadNodeCSV$$' -fuzztime $(FUZZTIME) ./internal/ldms
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRunInto$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRunsBody$$' -fuzztime $(FUZZTIME) ./internal/server
 
 # -count=1 defeats the test cache: each chaos run draws a fresh seed
 # from the clock, so successive runs explore different schedules. A

@@ -352,22 +352,6 @@ func BenchmarkMicroRecognizeWarmed(b *testing.B) {
 	}
 }
 
-// BenchmarkMicroExtractInto times public fingerprint extraction with a
-// reused destination slice.
-func BenchmarkMicroExtractInto(b *testing.B) {
-	ds := benchDataset(b)
-	cfg := core.DefaultConfig(3)
-	var fps []core.Fingerprint
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fps = core.ExtractInto(fps[:0], core.Source(ds.Executions[i%ds.Len()]), cfg)
-		if len(fps) == 0 {
-			b.Fatal("no fingerprints")
-		}
-	}
-}
-
 // BenchmarkFitSequential and BenchmarkFitParallel compare the
 // depth×fold cross-validation grid at one worker versus GOMAXPROCS
 // workers; results are byte-identical, only wall-clock differs.
@@ -394,10 +378,12 @@ func BenchmarkMicroStreamFeed(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := core.NewStream(d, 4)
+	offs := []time.Duration{telemetry.PaperWindow.Start}
+	vals := []float64{6000}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Feed(apps.HeadlineMetric, i%4, telemetry.PaperWindow.Start, 6000)
+		s.FeedRun(apps.HeadlineMetric, i%4, offs, vals)
 	}
 }
 
@@ -536,7 +522,7 @@ func runServerThroughput(b *testing.B, h http.Handler, nJobs int) {
 // against BenchmarkServerThroughputSerialized (the seed's single
 // global mutex) at the same -cpu to see the concurrency win.
 func BenchmarkServerThroughput(b *testing.B) {
-	s := server.New(benchServerDictionary(b))
+	s := server.NewEngine(monitor.New(benchServerDictionary(b)))
 	b.ReportAllocs()
 	runServerThroughput(b, s.Handler(), 64)
 }
@@ -579,7 +565,9 @@ func (s *serializedServer) handler() http.Handler {
 			return
 		}
 		for _, smp := range batch.Samples {
-			st.Feed(smp.Metric, smp.Node, time.Duration(smp.OffsetS*float64(time.Second)), smp.Value)
+			off := [1]time.Duration{time.Duration(smp.OffsetS * float64(time.Second))}
+			val := [1]float64{smp.Value}
+			st.FeedRun(smp.Metric, smp.Node, off[:], val[:])
 		}
 		json.NewEncoder(w).Encode(map[string]int{"accepted": len(batch.Samples)})
 	})
@@ -611,16 +599,9 @@ func BenchmarkServerThroughputSerialized(b *testing.B) {
 
 // --- PR 3: columnar telemetry + prefix-sum windows + byte ingest ----
 
-// benchRampSource is a deterministic ValueSource for the ingest
-// benchmarks.
-type benchRampSource struct{}
-
-func (benchRampSource) Value(metric string, node int, t time.Duration) float64 {
-	return float64(len(metric)*1000+node*100) + t.Seconds()*1.25
-}
-
-// benchNodeCSVOnce renders the shared ingest fixture: one node of a
-// ten-minute execution with a 50-metric set at 1 Hz.
+// benchNodeCSV renders the shared ingest fixture: one node of a
+// ten-minute execution with a 50-metric set at 1 Hz, on a
+// deterministic ramp.
 var (
 	benchCSVOnce sync.Once
 	benchCSV     []byte
@@ -629,21 +610,15 @@ var (
 func benchNodeCSV(b *testing.B) []byte {
 	b.Helper()
 	benchCSVOnce.Do(func() {
-		metrics := make([]string, 50)
-		for i := range metrics {
-			metrics[i] = "metric_" + string(rune('a'+i/26)) + string(rune('a'+i%26))
-		}
-		s, err := ldms.NewSampler("bench", metrics)
-		if err != nil {
-			panic(err)
-		}
-		c, err := ldms.NewCollector([]ldms.Sampler{s}, time.Second)
-		if err != nil {
-			panic(err)
-		}
-		ns, err := c.Collect(benchRampSource{}, 1, 599*time.Second)
-		if err != nil {
-			panic(err)
+		ns := telemetry.NewNodeSet()
+		for i := 0; i < 50; i++ {
+			metric := "metric_" + string(rune('a'+i/26)) + string(rune('a'+i%26))
+			s := telemetry.NewSeries(metric, 0, 600)
+			for tick := 0; tick < 600; tick++ {
+				t := time.Duration(tick) * time.Second
+				s.Append(t, float64(len(metric)*1000)+t.Seconds()*1.25)
+			}
+			ns.Put(s)
 		}
 		var buf bytes.Buffer
 		if err := ldms.WriteNodeCSV(&buf, ns, 0); err != nil {
@@ -695,7 +670,7 @@ func wideSeries() *telemetry.Series {
 		for i := 0; i < 36_000; i++ {
 			s.Append(time.Duration(i)*time.Second, 1e6+float64(i%97))
 		}
-		s.SealStats()
+		s.Seal()
 		benchWideSeries = s
 	})
 	return benchWideSeries
@@ -724,19 +699,6 @@ func BenchmarkWindowMeanNarrow(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.WindowMean(w); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWindowStatsWide extracts all four moments from the same
-// wide window — still O(1) on the sealed prefix sums.
-func BenchmarkWindowStatsWide(b *testing.B) {
-	s := wideSeries()
-	w := telemetry.Window{Start: 60 * time.Second, End: 35_900 * time.Second}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.WindowStats(w); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -824,30 +786,48 @@ func BenchmarkTSDBCommit(b *testing.B) {
 	}
 }
 
-// tsdbBenchNodeSet builds an execution of series×n grid samples.
-func tsdbBenchNodeSet(series, n int) *telemetry.NodeSet {
-	ns := telemetry.NewNodeSet()
+// tsdbBenchExecution registers job on st and ingests a finished
+// execution of series×n grid samples through the store's ingest path,
+// leaving it pending for the next Flush.
+func tsdbBenchExecution(b *testing.B, st *tsdb.Store, job string, series, n int) {
+	b.Helper()
+	if err := st.Register(job, series); err != nil {
+		b.Fatal(err)
+	}
+	offs := make([]time.Duration, n)
+	for i := range offs {
+		offs[i] = time.Duration(i) * telemetry.DefaultPeriod
+	}
+	vals := make([]float64, n)
 	for si := 0; si < series; si++ {
-		vals := make([]float64, n)
 		for i := range vals {
 			vals[i] = float64(si*7 + i)
 		}
-		ns.Put(telemetry.NewSeriesFromColumns("m", si, nil, vals))
+		if err := st.Append(job, "m", si, offs, vals); err != nil {
+			b.Fatal(err)
+		}
 	}
-	return ns
+	if err := st.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	if err := st.Finish(job, ""); err != nil {
+		b.Fatal(err)
+	}
 }
 
 // BenchmarkTSDBSegmentFlush measures flushing one finished execution
 // (4 series × 4096 samples) into an immutable segment: columnar
 // write, per-block CRCs, histogram sketches, footer, mmap open, WAL
-// compaction.
+// compaction. Ingesting the execution is outside the timer.
 func BenchmarkTSDBSegmentFlush(b *testing.B) {
 	st := tsdbBenchStore(b)
-	ns := tsdbBenchNodeSet(4, 4096)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := st.IngestExecution(fmt.Sprintf("e%d", i), "", ns); err != nil {
+		b.StopTimer()
+		tsdbBenchExecution(b, st, fmt.Sprintf("e%d", i), 4, 4096)
+		b.StartTimer()
+		if err := st.Flush(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -859,7 +839,8 @@ func BenchmarkTSDBSegmentFlush(b *testing.B) {
 // answering one window mean per series.
 func BenchmarkTSDBMmapRead(b *testing.B) {
 	st := tsdbBenchStore(b)
-	if err := st.IngestExecution("e", "", tsdbBenchNodeSet(4, 4096)); err != nil {
+	tsdbBenchExecution(b, st, "e", 4, 4096)
+	if err := st.Flush(); err != nil {
 		b.Fatal(err)
 	}
 	w := telemetry.Window{Start: 60 * time.Second, End: 120 * time.Second}
@@ -935,7 +916,7 @@ func benchClientRuns(iter int) []monitor.RunBatch {
 // least 2x below BenchmarkClientIngestJSON in allocs/op (pinned by
 // TestClientIngestAllocRatio in efd/client).
 func runClientIngest(b *testing.B, mode client.BinaryMode) {
-	srv := server.New(benchServerDictionary(b))
+	srv := server.NewEngine(monitor.New(benchServerDictionary(b)))
 	ts := httptest.NewServer(srv.Handler())
 	b.Cleanup(ts.Close)
 	c := client.New(ts.URL, client.WithBinaryIngest(mode))

@@ -67,9 +67,10 @@ func main() {
 // run is the daemon body, factored out of main so tests can drive it:
 // it serves until the context is cancelled or SIGINT/SIGTERM arrives,
 // then shuts down gracefully and re-saves the dictionary when -save is
-// set. onListen, if non-nil, is called with the service address once
-// every listener is up.
-func run(ctx context.Context, args []string, out io.Writer, onListen func(addr string)) error {
+// set. onListen, if non-nil, is called once every listener is up, with
+// the bound service address and the bound -ops-addr address (empty
+// when -ops-addr is not set).
+func run(ctx context.Context, args []string, out io.Writer, onListen func(addr, opsAddr string)) error {
 	fs := flag.NewFlagSet("efdd", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
@@ -197,6 +198,7 @@ func run(ctx context.Context, args []string, out io.Writer, onListen func(addr s
 	// caller woken by "listening" (or onListen) finds every listener
 	// bound.
 	var opsSrv *http.Server
+	var opsBound string
 	if *opsAddr != "" {
 		opsLn, err := net.Listen("tcp", *opsAddr)
 		if err != nil {
@@ -213,12 +215,13 @@ func run(ctx context.Context, args []string, out io.Writer, onListen func(addr s
 		opsMux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		opsMux.Handle("/v1/debug/slow", srv.DebugSlowHandler())
 		opsSrv = &http.Server{Handler: opsMux, ReadHeaderTimeout: 5 * time.Second}
-		logger.Info("ops listening", "addr", opsLn.Addr().String())
+		opsBound = opsLn.Addr().String()
+		logger.Info("ops listening", "addr", opsBound)
 		go opsSrv.Serve(opsLn)
 	}
 	logger.Info("listening", "addr", ln.Addr().String())
 	if onListen != nil {
-		onListen(ln.Addr().String())
+		onListen(ln.Addr().String(), opsBound)
 	}
 
 	httpSrv := &http.Server{

@@ -76,7 +76,7 @@ func TestGracefulShutdownSavesLearnedLabels(t *testing.T) {
 	go func() {
 		done <- run(context.Background(),
 			[]string{"-dict", dictPath, "-addr", "127.0.0.1:0", "-save", savePath},
-			io.Discard, func(a string) { addrCh <- a })
+			io.Discard, func(a, _ string) { addrCh <- a })
 	}()
 	var base string
 	select {
@@ -171,7 +171,7 @@ func TestRestartRecoversIngestedJobs(t *testing.T) {
 			args = append(args, "-data-dir", dataDir)
 		}
 		go func() {
-			done <- run(ctx, args, io.Discard, func(a string) { addrCh <- a })
+			done <- run(ctx, args, io.Discard, func(a, _ string) { addrCh <- a })
 		}()
 		select {
 		case a := <-addrCh:
@@ -287,7 +287,7 @@ func TestLockedDataDir(t *testing.T) {
 	dictPath := writeTestDict(t, dir)
 	dataDir := filepath.Join(dir, "store")
 
-	st, err := tsdb.Open(dataDir)
+	st, err := tsdb.OpenOptions(dataDir, tsdb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestQuarantineStartupLog(t *testing.T) {
 	started := make(chan string, 1)
 	go func() {
 		done <- run(ctx, []string{"-dict", dictPath, "-addr", "127.0.0.1:0", "-data-dir", dataDir},
-			&out, func(a string) { started <- a })
+			&out, func(a, _ string) { started <- a })
 	}()
 	select {
 	case <-started:
@@ -406,7 +406,7 @@ func TestDiskLowWatermarkFlag(t *testing.T) {
 	started := make(chan string, 1)
 	go func() {
 		done <- run(ctx, []string{"-dict", dictPath, "-addr", "127.0.0.1:0", "-data-dir", dataDir, "-disk-low-mb", "8"},
-			&out, func(a string) { started <- a })
+			&out, func(a, _ string) { started <- a })
 	}()
 	var base string
 	select {

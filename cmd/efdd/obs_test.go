@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -43,16 +42,16 @@ func TestMetricsAndOpsListener(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	out := &syncBuf{}
 	done := make(chan error, 1)
-	started := make(chan string, 1)
+	started := make(chan [2]string, 1)
 	go func() {
 		done <- run(ctx,
 			[]string{"-dict", dictPath, "-addr", "127.0.0.1:0", "-ops-addr", "127.0.0.1:0"},
-			out, func(a string) { started <- a })
+			out, func(a, ops string) { started <- [2]string{a, ops} })
 	}()
-	var base string
+	var base, opsBase string
 	select {
 	case a := <-started:
-		base = "http://" + a
+		base, opsBase = "http://"+a[0], "http://"+a[1]
 	case err := <-done:
 		t.Fatalf("daemon exited early: %v", err)
 	case <-time.After(10 * time.Second):
@@ -69,14 +68,6 @@ func TestMetricsAndOpsListener(t *testing.T) {
 			t.Fatal("daemon did not shut down")
 		}
 	}()
-
-	// The ops address appears in the log before onListen fires (the
-	// ops listener is brought up first), so it is already there.
-	m := regexp.MustCompile(`ops listening" addr=(\S+)`).FindStringSubmatch(out.String())
-	if m == nil {
-		t.Fatalf("no ops listener address in log:\n%s", out.String())
-	}
-	opsBase := "http://" + m[1]
 
 	get := func(url string) (int, string) {
 		t.Helper()
@@ -163,7 +154,7 @@ func TestLogFormatJSON(t *testing.T) {
 	started := make(chan string, 1)
 	go func() {
 		done <- run(ctx, []string{"-dict", dictPath, "-addr", "127.0.0.1:0", "-log-format", "json"},
-			out, func(a string) { started <- a })
+			out, func(a, _ string) { started <- a })
 	}()
 	select {
 	case <-started:

@@ -13,6 +13,11 @@
 //
 //	file:line:col: [rule] message
 //
+// The deadcode rule judges reachability from every root of the
+// module, so it runs only when the patterns cover the whole module
+// ("./...", the default); a partial run skips it with a note on
+// stderr.
+//
 // -api-golden regenerates the locked public-API surface goldens for
 // the pinned packages (see the apilock rule in LINTS.md) instead of
 // linting — the deliberate step after an intended API change.
@@ -114,9 +119,22 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintf(stderr, "efdvet: callgraph: %d nodes, %d edges, built in %s\n",
 			g.NumNodes(), g.NumEdges(), g.BuildTime.Round(time.Millisecond))
 	}
+	// deadcode judges reachability from every root in the module, so
+	// on a partial load it would report every function whose callers
+	// were not loaded; it runs only over the whole module.
+	analyzers := analysis.All
+	if !wholeModule(patterns) {
+		analyzers = nil
+		for _, a := range analysis.All {
+			if a != analysis.DeadCode {
+				analyzers = append(analyzers, a)
+			}
+		}
+		fmt.Fprintln(stderr, "efdvet: deadcode skipped: it needs the whole module (./...)")
+	}
 	var diags []analysis.Diagnostic
 	for _, pkg := range pkgs {
-		diags = append(diags, analysis.Suppress(pkg, mod.Run(pkg, analysis.All))...)
+		diags = append(diags, analysis.Suppress(pkg, mod.Run(pkg, analyzers))...)
 	}
 	relativize(diags)
 	// One canonical order across packages: (file, line, col, rule) on
@@ -144,6 +162,17 @@ func run(args []string, stdout, stderr *os.File) int {
 		return exitFindings
 	}
 	return exitClean
+}
+
+// wholeModule reports whether the patterns load every package of the
+// module.
+func wholeModule(patterns []string) bool {
+	for _, p := range patterns {
+		if p == "./..." {
+			return true
+		}
+	}
+	return len(patterns) == 0
 }
 
 // relativize rewrites absolute file paths relative to the working

@@ -216,3 +216,20 @@ func TestJSONOutput(t *testing.T) {
 		t.Fatalf("diags = %+v, want one noexit finding", diags)
 	}
 }
+
+// TestDeadCodeNeedsWholeModule: deadcode judges reachability from every
+// root, so it reports over ./... and is skipped, with a note, when the
+// patterns load only part of the module.
+func TestDeadCodeNeedsWholeModule(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"internal/x/x.go": "package x\n\nfunc unused() {}\n",
+	})
+	code, out := runIn(t, dir, "./...")
+	if code != exitFindings || !strings.Contains(out, "[deadcode] unused is unreachable") {
+		t.Fatalf("./...: exit = %d, want %d with a deadcode finding\noutput:\n%s", code, exitFindings, out)
+	}
+	code, out = runIn(t, dir, "./internal/x")
+	if code != exitClean || !strings.Contains(out, "deadcode skipped") {
+		t.Fatalf("./internal/x: exit = %d, want %d with the skip note\noutput:\n%s", code, exitClean, out)
+	}
+}

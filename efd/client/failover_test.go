@@ -83,11 +83,14 @@ func waitEndpointStatus(t *testing.T, c *Client, idx int, want string) {
 // TestMultiRoutesWritesAroundReadonly: once the prober sees an
 // endpoint in disk-full read-only mode, writes route to a healthy
 // peer up front — no shed-and-retry round trip — and come back home
-// when the disk recovers.
+// when the disk recovers. The probe interval is also each probe's time
+// budget: at 2 ms a probe on a loaded host timed out about once in a
+// hundred runs, marked a serving stub down, and routed the request to
+// the wrong endpoint.
 func TestMultiRoutesWritesAroundReadonly(t *testing.T) {
 	home := newStub(t, monitor.StatusReadonly)
 	peer := newStub(t, monitor.StatusHealthy)
-	c := NewMulti([]string{home.ts.URL, peer.ts.URL}, WithHealthProbe(2*time.Millisecond), WithRetry(0, 0))
+	c := NewMulti([]string{home.ts.URL, peer.ts.URL}, WithHealthProbe(50*time.Millisecond), WithRetry(0, 0))
 	defer c.Close()
 	id := homedJobID(0, 2)
 	ctx := context.Background()

@@ -655,7 +655,7 @@ func (e *Engine) feedRuns(id string, j *job, runs []Run) (int, bool, error) {
 }
 
 // feedRunLocked appends one columnar run to the WAL (store mode) and
-// the stream, under the job mutex. No dictionary lock is taken: Feed
+// the stream, under the job mutex. No dictionary lock is taken: FeedRun
 // only reads the immutable fingerprint configuration, so ingest never
 // stalls behind recognition or learning. With a store attached the
 // run is WAL-appended BEFORE it reaches the stream, so the in-memory

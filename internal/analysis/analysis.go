@@ -71,6 +71,7 @@ var All = []*Analyzer{
 	APILock,
 	ErrIs,
 	NoExit,
+	DeadCode,
 }
 
 // Run executes the analyzers over one loaded package and returns the
@@ -79,6 +80,8 @@ var All = []*Analyzer{
 // transitive rules see only its own edges. Multi-package runs (the
 // driver, the dogfood gate) build one Module and use Module.Run so
 // cross-package chains resolve and shared indexes build once.
+//
+//efd:keep single-package entry point: analysistest runs fixtures through it
 func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	return NewModule([]*Package{pkg}).Run(pkg, analyzers)
 }

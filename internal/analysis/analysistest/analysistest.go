@@ -33,6 +33,8 @@ var quotedRe = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
 // analyzers, and fails t unless the diagnostics and the fixture's
 // `// want` comments match one-to-one. The raw diagnostics are
 // returned for any further assertions.
+//
+//efd:keep test harness: the analysis tests run every analyzer over its fixture through it
 func Run(t *testing.T, dir, importPath string, analyzers ...*analysis.Analyzer) []analysis.Diagnostic {
 	t.Helper()
 	pkg, diags := Diagnostics(t, dir, importPath, analyzers...)
@@ -53,6 +55,8 @@ func Run(t *testing.T, dir, importPath string, analyzers ...*analysis.Analyzer) 
 // Diagnostics loads the fixture and runs the analyzers without
 // checking want comments — for asserting an analyzer stays silent
 // (scope tests, package-main exemptions).
+//
+//efd:keep test harness: the analysis tests assert analyzers stay silent through it
 func Diagnostics(t *testing.T, dir, importPath string, analyzers ...*analysis.Analyzer) (*analysis.Package, []analysis.Diagnostic) {
 	t.Helper()
 	loader, err := analysis.NewLoader(dir)

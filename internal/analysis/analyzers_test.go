@@ -122,6 +122,31 @@ func TestHotPathHorizon(t *testing.T) {
 	}
 }
 
+// TestDeadCode pins the roots and the keep ledger: an unreachable
+// function, one only a _test.go file calls, and an exported method of
+// package main are flagged; kept code, a stdlib-interface method, the
+// errors protocol, a function named by a package-level initializer,
+// and a generic method reached through its instance are silent; a
+// keep on reachable code is stale and a keep without a reason is
+// malformed.
+func TestDeadCode(t *testing.T) {
+	analysistest.Run(t, fixture("deadcode"), "fixture/deadcode", analysis.DeadCode)
+}
+
+// TestDeadCodeLibraryAPI: exported functions of an importable package
+// are roots, so Entry and its callee are live; under an internal path
+// the same package exports nothing to the outside and both are dead.
+func TestDeadCodeLibraryAPI(t *testing.T) {
+	_, diags := analysistest.Diagnostics(t, fixture("deadcodeapi"), "fixture/deadcodeapi", analysis.DeadCode)
+	if len(diags) != 0 {
+		t.Fatalf("library API flagged: %v", diags)
+	}
+	_, diags = analysistest.Diagnostics(t, fixture("deadcodeapi"), "fixture/internal/deadcodeapi", analysis.DeadCode)
+	if len(diags) != 2 {
+		t.Fatalf("internal package: want Entry and helper flagged, got %v", diags)
+	}
+}
+
 func TestAtomicField(t *testing.T) {
 	diags := analysistest.Run(t, fixture("atomicfield"), "fixture/atomicfield", analysis.AtomicField)
 	if len(diags) == 0 {

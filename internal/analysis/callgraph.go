@@ -25,6 +25,9 @@ type Module struct {
 	hotOnce sync.Once
 	hot     []ownedDiag
 
+	deadOnce sync.Once
+	dead     []ownedDiag
+
 	atomicOnce sync.Once
 	atomic     []ownedDiag
 }
@@ -134,10 +137,42 @@ type CallGraph struct {
 
 	edges     map[*types.Func][]Edge
 	edgeCount int
+	// initRefs lists the functions referenced from package-level var
+	// initializers (a dispatch table such as analysis.All): they run or
+	// escape at package initialization, outside any function body.
+	initRefs []*types.Func
 }
 
 // EdgesFrom returns fn's outgoing edges in source order.
 func (g *CallGraph) EdgesFrom(fn *types.Func) []Edge { return g.edges[fn] }
+
+// bfs walks the graph breadth first from roots and returns every
+// function it visits, roots included. Each edge to a callee not yet
+// seen is offered to follow, which decides whether the walk enters
+// the callee; a callee is offered once, through its shortest path.
+func (g *CallGraph) bfs(roots []*types.Func, follow func(Edge) bool) map[*types.Func]bool {
+	seen := make(map[*types.Func]bool)
+	var queue []*types.Func
+	for _, r := range roots {
+		if !seen[r] {
+			seen[r] = true
+			queue = append(queue, r)
+		}
+	}
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		for _, e := range g.EdgesFrom(cur) {
+			if !seen[e.Callee] {
+				seen[e.Callee] = true
+				if follow(e) {
+					queue = append(queue, e.Callee)
+				}
+			}
+		}
+	}
+	return seen
+}
 
 // NumNodes and NumEdges size the graph for the driver's build report.
 func (g *CallGraph) NumNodes() int { return len(g.Funcs) }
@@ -212,12 +247,18 @@ func buildCallGraph(pkgs []*Package) *CallGraph {
 	for _, pkg := range ordered {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					b.walkBody(pkg, fn, fd.Body)
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if d.Body == nil {
+						continue
+					}
+					if fn, ok := pkg.Info.Defs[d.Name].(*types.Func); ok {
+						b.walkBody(pkg, fn, d.Body)
+					}
+				case *ast.GenDecl:
+					if d.Tok == token.VAR {
+						b.walkInit(pkg, d)
+					}
 				}
 			}
 		}
@@ -277,6 +318,38 @@ func (b *graphBuilder) walkBody(pkg *Package, caller *types.Func, body ast.Node)
 	})
 }
 
+// walkInit records every function a package-level var initializer
+// names, called or taken as a value, in initRefs.
+func (b *graphBuilder) walkInit(pkg *Package, d *ast.GenDecl) {
+	add := func(fn *types.Func) {
+		if fn = fn.Origin(); b.g.Funcs[fn] != nil {
+			b.g.initRefs = append(b.g.initRefs, fn)
+		}
+	}
+	for _, spec := range d.Specs {
+		for _, v := range spec.(*ast.ValueSpec).Values {
+			ast.Inspect(v, func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				fn, ok := pkg.Info.Uses[id].(*types.Func)
+				if !ok {
+					return true
+				}
+				if iface := interfaceRecv(fn); iface != nil {
+					for _, impl := range b.implsOf(fn, iface) {
+						add(impl)
+					}
+					return true
+				}
+				add(fn)
+				return true
+			})
+		}
+	}
+}
+
 // call records the edge(s) for one call expression.
 func (b *graphBuilder) call(pkg *Package, caller *types.Func, fun ast.Expr, kind EdgeKind) {
 	switch f := fun.(type) {
@@ -322,8 +395,11 @@ func (b *graphBuilder) ref(pkg *Package, caller *types.Func, pos token.Pos, fn *
 }
 
 // edge appends caller→callee if the callee is declared in the unit
-// and the (caller, callee, kind) triple is new.
+// and the (caller, callee, kind) triple is new. A method of an
+// instantiated generic type is its own object in go/types; Origin
+// maps it back to the declared method the graph holds.
 func (b *graphBuilder) edge(caller, callee *types.Func, site token.Pos, kind EdgeKind) {
+	callee = callee.Origin()
 	if caller == callee {
 		return
 	}

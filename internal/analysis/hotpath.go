@@ -89,43 +89,31 @@ func buildHotDiags(g *CallGraph) []ownedDiag {
 		}
 		// Breadth-first over the call graph, so each reached function
 		// carries its shortest chain from this root.
-		type qent struct {
-			fn    *types.Func
-			depth int
-		}
 		parent := map[*types.Func]*types.Func{}
-		visited := map[*types.Func]bool{root: true}
-		queue := []qent{{root, 0}}
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			for _, e := range g.EdgesFrom(cur.fn) {
-				ci := g.Funcs[e.Callee]
-				if ci == nil || visited[e.Callee] {
-					continue
-				}
-				visited[e.Callee] = true
-				if ci.Cold || ci.Hot {
-					// Cold: the written-down escape hatch. Hot: the
-					// callee is its own root and reports directly.
-					continue
-				}
-				if cur.depth+1 > HotPathMaxDepth {
-					report(g.Funcs[cur.fn].Pkg, e.Site, fmt.Sprintf(
-						"call chain from //efd:hotpath %s exceeds the analysis horizon (depth %d) at %s → %s: mark the intermediate //efd:hotpath or //efd:coldpath so the contract stays checkable",
-						FuncDisplayName(root), HotPathMaxDepth,
-						FuncDisplayName(cur.fn), FuncDisplayName(e.Callee)))
-					continue
-				}
-				parent[e.Callee] = cur.fn
-				queue = append(queue, qent{e.Callee, cur.depth + 1})
-				for _, v := range violations(ci) {
-					report(ci.Pkg, v.pos, fmt.Sprintf(
-						"transitive hot path (%s): %s (a deliberately cold callee needs //efd:coldpath)",
-						chainString(parent, e.Callee), v.msg))
-				}
+		depth := map[*types.Func]int{}
+		g.bfs([]*types.Func{root}, func(e Edge) bool {
+			ci := g.Funcs[e.Callee]
+			if ci.Cold || ci.Hot {
+				// Cold: the written-down escape hatch. Hot: the
+				// callee is its own root and reports directly.
+				return false
 			}
-		}
+			if depth[e.Caller]+1 > HotPathMaxDepth {
+				report(g.Funcs[e.Caller].Pkg, e.Site, fmt.Sprintf(
+					"call chain from //efd:hotpath %s exceeds the analysis horizon (depth %d) at %s → %s: mark the intermediate //efd:hotpath or //efd:coldpath so the contract stays checkable",
+					FuncDisplayName(root), HotPathMaxDepth,
+					FuncDisplayName(e.Caller), FuncDisplayName(e.Callee)))
+				return false
+			}
+			parent[e.Callee] = e.Caller
+			depth[e.Callee] = depth[e.Caller] + 1
+			for _, v := range violations(ci) {
+				report(ci.Pkg, v.pos, fmt.Sprintf(
+					"transitive hot path (%s): %s (a deliberately cold callee needs //efd:coldpath)",
+					chainString(parent, e.Callee), v.msg))
+			}
+			return true
+		})
 	}
 	return out
 }
@@ -201,9 +189,9 @@ func (h *hotWalker) call(x *ast.CallExpr) {
 		// safe; registration, exposition, and tracing helpers are
 		// construction/scrape-time API.
 		switch fn.Name() {
-		case "Add", "Inc", "Set", "Observe", "Value", "Count", "Sum":
+		case "Add", "Observe", "Value", "Count", "Sum":
 		default:
-			h.reportf(x.Pos(), "obs.%s in a hot path allocates: only the instrument fast paths (Add, Inc, Set, Observe) are hot-path safe", fn.Name())
+			h.reportf(x.Pos(), "obs.%s in a hot path allocates: only the instrument fast paths (Add, Observe) are hot-path safe", fn.Name())
 		}
 	}
 }

@@ -12,14 +12,16 @@ import (
 	"strings"
 )
 
-// srcImporter typechecks packages from source, recursively. The stock
-// go/importer "source" importer cannot resolve module-internal import
-// paths (go/build's module support needs the go command's package
-// graph), so this one does the resolution itself: paths under the
-// module prefix map onto the module tree, everything else must be
-// GOROOT source (including the std-vendored golang.org/x packages).
-// The result is a fully from-source type graph with zero external
-// dependencies and no reliance on compiled export data.
+// srcImporter typechecks packages from source, recursively, resolving
+// paths itself: paths under the module prefix map onto the module
+// tree, everything else must be GOROOT source (including the
+// std-vendored golang.org/x packages). The stock go/importer "source"
+// importer resolves module paths too, through go/build, which consults
+// the go command to do so; the reason for this importer is cost. On a
+// 2-CPU host, importing efd/monitor alone through go/importer took
+// about 5.5 s, while a whole efdvet run over ./... through this
+// importer takes about 3 s. The type graph is fully from source, with
+// zero external dependencies and no reliance on compiled export data.
 type srcImporter struct {
 	fset    *token.FileSet
 	modPath string

@@ -135,6 +135,8 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 // LoadDir typechecks a single directory under an explicit import path
 // — the fixture-package entry point, where the path the analyzers see
 // (e.g. a synthetic ".../internal/tsdb/...") is part of the test.
+//
+//efd:keep fixture entry point: analysistest and the call-graph tests load fixture packages through it
 func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {

@@ -358,3 +358,25 @@ func TestHash01Range(t *testing.T) {
 		t.Error("hash01 should separate part boundaries")
 	}
 }
+
+// LookupMetric returns the definition of the named metric.
+func LookupMetric(name string) (MetricDef, bool) {
+	for _, m := range catalog {
+		if m.Name == name {
+			return m, true
+		}
+	}
+	return MetricDef{}, false
+}
+
+// Labels enumerates every (application, input) pair of the dataset in
+// deterministic order — the 37 label combinations of Table 2.
+func Labels() []Label {
+	var out []Label
+	for _, s := range specs {
+		for _, in := range s.Inputs {
+			out = append(out, Label{App: s.Name, Input: in})
+		}
+	}
+	return out
+}

@@ -183,3 +183,16 @@ func TestConstantMetricUnperturbedByExecution(t *testing.T) {
 		t.Errorf("constant metric differs across apps: %v vs %v", ma, mb)
 	}
 }
+
+// Config returns the simulator configuration.
+func (s *Simulator) Config() Config { return s.cfg }
+
+// MetricNames returns the names of the metrics this simulator collects,
+// in catalog order.
+func (s *Simulator) MetricNames() []string {
+	out := make([]string, len(s.metricIndexes))
+	for i, mi := range s.metricIndexes {
+		out[i] = apps.Metrics()[mi].Name
+	}
+	return out
+}

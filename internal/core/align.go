@@ -51,79 +51,3 @@ func (t *TelemetrySource) NodeCount() int {
 	}
 	return t.nodes[len(t.nodes)-1] + 1
 }
-
-// AlignedResult extends a recognition result with the temporal offset
-// that produced it.
-type AlignedResult struct {
-	Result
-	// Offset is the shift applied to the fingerprint windows.
-	Offset time.Duration
-}
-
-// RecognizeAligned performs temporally aligned recognition — the third
-// Shazam aspect the paper lists as future work (§2, §6). Monitoring
-// pipelines do not always know the exact moment an application started
-// (queue time, MPI launch, container start all blur it); a fingerprint
-// window anchored at the wrong origin misses the dictionary. This
-// method probes each candidate offset, recognizes the telemetry as if
-// the execution had started that much earlier or later, and returns
-// the offset whose recognition matched the most fingerprints (ties:
-// more votes for the top application, then smaller absolute offset).
-//
-// With offsets == nil, offsets of 0, ±5 s, ±10 s, ±20 s and ±30 s are
-// probed.
-//
-// RecognizeAligned is read-only on ns, so sorted telemetry can be
-// probed concurrently. Every candidate offset re-queries the same
-// series with shifted windows, so callers that can afford a one-time
-// mutation should ns.Seal() beforehand: the sealed prefix sums
-// amortize the whole alignment sweep to one pass per series.
-func (d *Dictionary) RecognizeAligned(ns *telemetry.NodeSet, offsets []time.Duration) AlignedResult {
-	if offsets == nil {
-		offsets = []time.Duration{
-			0,
-			5 * time.Second, -5 * time.Second,
-			10 * time.Second, -10 * time.Second,
-			20 * time.Second, -20 * time.Second,
-			30 * time.Second, -30 * time.Second,
-		}
-	}
-	src := NewTelemetrySource(ns)
-	best := AlignedResult{Offset: 0}
-	first := true
-	for _, off := range offsets {
-		src.Shift = off
-		res := d.Recognize(src)
-		if first || betterAlignment(res, off, best) {
-			best = AlignedResult{Result: res, Offset: off}
-			first = false
-		}
-	}
-	return best
-}
-
-// betterAlignment reports whether (res, off) beats the current best.
-func betterAlignment(res Result, off time.Duration, best AlignedResult) bool {
-	if res.Matched != best.Matched {
-		return res.Matched > best.Matched
-	}
-	rv, bv := topVotes(res), topVotes(best.Result)
-	if rv != bv {
-		return rv > bv
-	}
-	return absDur(off) < absDur(best.Offset)
-}
-
-func topVotes(r Result) int {
-	if len(r.Apps) == 0 {
-		return 0
-	}
-	return r.VotesFor(r.Apps[0])
-}
-
-func absDur(d time.Duration) time.Duration {
-	if d < 0 {
-		return -d
-	}
-	return d
-}

@@ -85,8 +85,8 @@ type rawExec struct {
 	means []float64
 }
 
-// extractRaw walks the source once in Extract order and records every
-// available raw window mean.
+// extractRaw walks the source once and records every available raw
+// window mean.
 func extractRaw(src WindowSource, metrics []string, windows []telemetry.Window, joint bool) rawExec {
 	var re rawExec
 	extractRawInto(&re, src, metrics, windows, joint)
@@ -94,9 +94,8 @@ func extractRaw(src WindowSource, metrics []string, windows []telemetry.Window, 
 }
 
 // extractRawInto is extractRaw with reused buffers. It is the single
-// extraction walk of the package: ExtractInto (public Fingerprint
-// form), Learn, the Recognizer, and the Fit grid all consume its
-// output, so iteration order — and therefore learning/tie-break order
+// extraction walk of the package: Learn, the Recognizer, and the Fit
+// grid all consume its output, so iteration order — and therefore learning/tie-break order
 // — cannot drift between paths.
 func extractRawInto(re *rawExec, src WindowSource, metrics []string, windows []telemetry.Window, joint bool) {
 	re.fps = re.fps[:0]

@@ -12,9 +12,9 @@ const Unknown = "unknown"
 // Result is the outcome of recognizing one execution.
 //
 // Per-application votes and per-label input counts are held in dense
-// accumulators indexed by the dictionary's interned app/label IDs; the
-// Votes and Inputs methods materialize map views on demand, and
-// VotesFor/InputCount read single cells without allocating. A Result
+// accumulators indexed by the dictionary's interned app/label IDs;
+// Votes materializes a map view on demand, and VotesFor reads a single
+// cell without allocating. A Result
 // produced by a Recognizer borrows the recognizer's buffers and is only
 // valid until that recognizer's next call; Dictionary.Recognize returns
 // a Result with freshly allocated buffers.
@@ -70,35 +70,6 @@ func (r Result) Votes() map[string]int {
 	for i, v := range r.votes {
 		if v != 0 {
 			out[r.d.apps[i]] = int(v)
-		}
-	}
-	return out
-}
-
-// InputCount returns the match count of one full (application, input)
-// label without allocating, for input-size estimation.
-func (r Result) InputCount(label apps.Label) int {
-	if r.d == nil {
-		return 0
-	}
-	lid, ok := r.d.labelIDs[label]
-	if !ok || int(lid) >= len(r.inputs) {
-		return 0
-	}
-	return int(r.inputs[lid])
-}
-
-// Inputs materializes the per-label match counts as a map (labels with
-// zero matches are absent). Each call allocates; hot paths should use
-// InputCount.
-func (r Result) Inputs() map[apps.Label]int {
-	out := make(map[apps.Label]int)
-	if r.d == nil {
-		return out
-	}
-	for lid, v := range r.inputs {
-		if v != 0 {
-			out[r.d.labels[lid]] = int(v)
 		}
 	}
 	return out
@@ -164,18 +135,6 @@ func (r *Recognizer) extract(src WindowSource) {
 func (r *Recognizer) Recognize(src WindowSource) Result {
 	r.extract(src)
 	return r.vote(false)
-}
-
-// RecognizeWeighted is a variant of Recognize in which each matched key
-// contributes its per-application observation count rather than a
-// single vote, so frequently repeated fingerprints outweigh one-off
-// noise keys. This is an extension beyond the paper (which votes
-// uniformly); the voting ablation compares the two.
-//
-//efd:hotpath
-func (r *Recognizer) RecognizeWeighted(src WindowSource) Result {
-	r.extract(src)
-	return r.vote(true)
 }
 
 // grow returns s resized to n elements, all zero, reusing capacity.
@@ -261,13 +220,6 @@ func (r *Recognizer) vote(weighted bool) Result {
 func (d *Dictionary) Recognize(src WindowSource) Result {
 	r := Recognizer{d: d}
 	return r.Recognize(src)
-}
-
-// RecognizeWeighted is the count-weighted voting variant of Recognize;
-// see Recognizer.RecognizeWeighted.
-func (d *Dictionary) RecognizeWeighted(src WindowSource) Result {
-	r := Recognizer{d: d}
-	return r.RecognizeWeighted(src)
 }
 
 // PredictUsage performs the paper's "dictionary in reverse" (§6):

@@ -15,7 +15,7 @@ import (
 // motivates the EFD over whole-execution ML pipelines.
 //
 // Accumulators are keyed by the Window value itself (not its string
-// form), so Feed performs no formatting and, once every configured
+// form), so FeedRun performs no formatting and, once every configured
 // (metric, node, window) accumulator exists, no allocation per sample.
 //
 // A Stream is not safe for concurrent use; the HTTP server serializes
@@ -56,49 +56,15 @@ func NewStream(d *Dictionary, nodes int) *Stream {
 	return s
 }
 
-// Feed delivers one sample. Samples outside every configured window,
-// for unconfigured metrics, or for out-of-range nodes are ignored, so
-// the monitor can blindly forward its full stream.
-//
-//efd:hotpath
-func (s *Stream) Feed(metric string, node int, offset time.Duration, value float64) {
-	if offset > s.seen {
-		s.seen = offset
-	}
-	if node < 0 || node >= s.nodes {
-		return
-	}
-	configured := false
-	for _, m := range s.dict.cfg.Metrics {
-		if m == metric {
-			configured = true
-			break
-		}
-	}
-	if !configured {
-		return
-	}
-	for _, w := range s.dict.cfg.Windows {
-		if !w.Contains(offset) {
-			continue
-		}
-		k := streamKey{metric: metric, node: node, window: w}
-		acc, ok := s.acc[k]
-		if !ok {
-			acc = &stats.Online{}
-			s.acc[k] = acc
-		}
-		acc.Add(value)
-	}
-}
-
 // FeedRun delivers a run of samples sharing one (metric, node) pair as
-// parallel offset/value columns — the bulk form of Feed that the
-// server's batch ingest uses. The configured-metric check runs once
-// for the whole run and each window's accumulator is resolved at most
-// once, instead of per sample; the per-accumulator update sequence is
-// identical to feeding the samples one by one, so the resulting state
-// is exactly the same. Offsets and values must have equal length.
+// parallel offset/value columns. Samples outside every configured
+// window, for unconfigured metrics, or for out-of-range nodes are
+// ignored, so the monitor can blindly forward its full stream. The
+// configured-metric check runs once for the whole run and each
+// window's accumulator is resolved at most once, instead of per
+// sample; the per-accumulator update sequence is identical to feeding
+// the samples one by one, so the resulting state is exactly the same.
+// Offsets and values must have equal length.
 //
 //efd:hotpath
 func (s *Stream) FeedRun(metric string, node int, offsets []time.Duration, values []float64) {

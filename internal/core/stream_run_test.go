@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/stats"
 )
 
 // TestFeedRunMatchesFeed pins the bulk columnar ingest to the
@@ -79,5 +80,41 @@ func TestFeedRunWarmAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("warmed FeedRun = %v allocs/op, want 0", allocs)
+	}
+}
+
+// Feed delivers one sample. Samples outside every configured window,
+// for unconfigured metrics, or for out-of-range nodes are ignored, so
+// the monitor can blindly forward its full stream.
+//
+//efd:hotpath
+func (s *Stream) Feed(metric string, node int, offset time.Duration, value float64) {
+	if offset > s.seen {
+		s.seen = offset
+	}
+	if node < 0 || node >= s.nodes {
+		return
+	}
+	configured := false
+	for _, m := range s.dict.cfg.Metrics {
+		if m == metric {
+			configured = true
+			break
+		}
+	}
+	if !configured {
+		return
+	}
+	for _, w := range s.dict.cfg.Windows {
+		if !w.Contains(offset) {
+			continue
+		}
+		k := streamKey{metric: metric, node: node, window: w}
+		acc, ok := s.acc[k]
+		if !ok {
+			acc = &stats.Online{}
+			s.acc[k] = acc
+		}
+		acc.Add(value)
 	}
 }

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/apps"
@@ -86,4 +87,50 @@ func TestLargeNodeGenConfig(t *testing.T) {
 			t.Fatalf("node %d missing window mean", node)
 		}
 	}
+}
+
+// Concat combines datasets into one, re-numbering execution IDs so they
+// stay unique. It is how the two grids of Table 2 (4-node × 30 repeats
+// and 32-node × 6 repeats) merge into a single evaluation corpus: node
+// count is part of the fingerprint space (node IDs are key components),
+// so executions of different widths coexist in one dictionary.
+//
+// All inputs must share the same window configuration; executions are
+// shallow-copied (their Stats maps are shared), so callers must not
+// mutate them afterwards.
+func Concat(parts ...*Dataset) (*Dataset, error) {
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("dataset: nothing to concatenate")
+	}
+	out := &Dataset{Windows: parts[0].Windows}
+	id := 0
+	for pi, p := range parts {
+		if len(p.Windows) != len(out.Windows) {
+			return nil, fmt.Errorf("dataset: part %d has %d windows, expected %d",
+				pi, len(p.Windows), len(out.Windows))
+		}
+		for wi := range p.Windows {
+			if p.Windows[wi] != out.Windows[wi] {
+				return nil, fmt.Errorf("dataset: part %d window %d is %v, expected %v",
+					pi, wi, p.Windows[wi], out.Windows[wi])
+			}
+		}
+		for _, e := range p.Executions {
+			copied := *e
+			copied.ID = id
+			id++
+			out.Executions = append(out.Executions, &copied)
+		}
+	}
+	return out, nil
+}
+
+// LargeNodeGenConfig is the secondary grid of Table 2: 32 nodes with 6
+// repeats per pair.
+func LargeNodeGenConfig() GenConfig {
+	cfg := DefaultGenConfig()
+	cfg.Cluster.Nodes = 32
+	cfg.Repeats = 6
+	cfg.Seed = 2
+	return cfg
 }

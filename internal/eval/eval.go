@@ -133,33 +133,6 @@ type ConfusionMatrix struct {
 	Counts [][]int
 }
 
-// Confusion builds the confusion matrix of the outcomes, with classes
-// sorted alphabetically.
-func Confusion(pairs []Pair) ConfusionMatrix {
-	seen := make(map[string]bool)
-	for _, p := range pairs {
-		seen[p.Truth] = true
-		seen[p.Pred] = true
-	}
-	classes := make([]string, 0, len(seen))
-	for c := range seen {
-		classes = append(classes, c)
-	}
-	sort.Strings(classes)
-	idx := make(map[string]int, len(classes))
-	for i, c := range classes {
-		idx[c] = i
-	}
-	counts := make([][]int, len(classes))
-	for i := range counts {
-		counts[i] = make([]int, len(classes))
-	}
-	for _, p := range pairs {
-		counts[idx[p.Truth]][idx[p.Pred]]++
-	}
-	return ConfusionMatrix{Classes: classes, Counts: counts}
-}
-
 // String renders the confusion matrix as an aligned table.
 func (m ConfusionMatrix) String() string {
 	var b strings.Builder

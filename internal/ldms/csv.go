@@ -30,7 +30,7 @@ import (
 // of the Taxonomist artifact: a "#Time" column of seconds since
 // execution start followed by one column per metric, one row per
 // sampling tick. Metrics are ordered alphabetically; series are assumed
-// to share the 1 Hz grid (the collector's output does).
+// to share the 1 Hz grid (the cluster simulator's output does).
 //
 // Offsets are written in shortest round-trippable precision, not the
 // historical one-decimal form, which silently collided sub-decisecond
@@ -276,6 +276,8 @@ func splitField(b []byte) []byte {
 // ReadNodeCSVStd is the original encoding/csv implementation, retained
 // as the differential-fuzzing and benchmarking baseline for the
 // byte-oriented reader above.
+//
+//efd:keep differential oracle: FuzzReadNodeCSV and TestReadNodeCSVMatchesStd compare ReadNodeCSV against it
 func ReadNodeCSVStd(r io.Reader, node int) (*telemetry.NodeSet, error) {
 	cr := csv.NewReader(r)
 	header, err := cr.Read()
@@ -355,9 +357,8 @@ func ReadExecutionCSV(r io.Reader, workers int) (*telemetry.NodeSet, error) {
 	return parseExecutionCSV(data, workers)
 }
 
-// parseExecutionCSV is the shared body of ReadExecutionCSV and the
-// memory-mapped ReadExecutionCSVFile: it only reads data, so a
-// read-only mapping can be passed directly.
+// parseExecutionCSV parses an execution CSV held in memory. It only
+// reads data, so a read-only mapping can be passed directly.
 func parseExecutionCSV(data []byte, workers int) (*telemetry.NodeSet, error) {
 	type section struct {
 		node int
@@ -411,34 +412,4 @@ func lineLen(b []byte) int {
 		return i + 1
 	}
 	return len(b)
-}
-
-// ReadNodeCSVFiles opens and parses one per-node CSV file per path
-// (index = node ID) concurrently on the internal/par pool and merges
-// the results into a single NodeSet — the bulk-ingest entry point for
-// directories laid out like the Taxonomist artifact.
-func ReadNodeCSVFiles(open func(i int) (io.ReadCloser, error), n, workers int) (*telemetry.NodeSet, error) {
-	parts := make([]*telemetry.NodeSet, n)
-	errs := make([]error, n)
-	par.For(n, workers, func(i int) {
-		rc, err := open(i)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		defer rc.Close()
-		parts[i], errs[i] = ReadNodeCSV(rc, i)
-	})
-	out := telemetry.NewNodeSet()
-	for i, p := range parts {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("ldms: node %d: %w", i, errs[i])
-		}
-		for _, m := range p.Metrics() {
-			if s := p.Get(i, m); s != nil {
-				out.Put(s)
-			}
-		}
-	}
-	return out, nil
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/par"
 	"repro/internal/telemetry"
 )
 
@@ -371,4 +372,34 @@ func TestWriteExecutionCSV(t *testing.T) {
 	if !strings.Contains(out, "# node 0") || !strings.Contains(out, "# node 1") {
 		t.Errorf("execution CSV missing node separators:\n%s", out)
 	}
+}
+
+// ReadNodeCSVFiles opens and parses one per-node CSV file per path
+// (index = node ID) concurrently on the internal/par pool and merges
+// the results into a single NodeSet — the bulk-ingest entry point for
+// directories laid out like the Taxonomist artifact.
+func ReadNodeCSVFiles(open func(i int) (io.ReadCloser, error), n, workers int) (*telemetry.NodeSet, error) {
+	parts := make([]*telemetry.NodeSet, n)
+	errs := make([]error, n)
+	par.For(n, workers, func(i int) {
+		rc, err := open(i)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		defer rc.Close()
+		parts[i], errs[i] = ReadNodeCSV(rc, i)
+	})
+	out := telemetry.NewNodeSet()
+	for i, p := range parts {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("ldms: node %d: %w", i, errs[i])
+		}
+		for _, m := range p.Metrics() {
+			if s := p.Get(i, m); s != nil {
+				out.Put(s)
+			}
+		}
+	}
+	return out, nil
 }

@@ -2,6 +2,7 @@ package ldms
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/telemetry"
 	"repro/internal/tsdb"
+	"repro/internal/vfs"
 )
 
 // convTestNodeSet builds a small two-node, two-metric execution.
@@ -65,7 +67,8 @@ func TestReadExecutionCSVFileMatchesReader(t *testing.T) {
 	}
 }
 
-// TestStoreExecutionCSVRoundTrip converts a CSV into a segment and
+// TestStoreExecutionCSVRoundTrip stores a parsed execution CSV through
+// the store's ingest path (Register, Append, Commit, Finish, Flush) and
 // verifies the stored, mmap-served telemetry matches the source
 // exactly — including window means over the paper window.
 func TestStoreExecutionCSVRoundTrip(t *testing.T) {
@@ -74,12 +77,37 @@ func TestStoreExecutionCSVRoundTrip(t *testing.T) {
 	if err := WriteExecutionCSV(&buf, ns); err != nil {
 		t.Fatal(err)
 	}
-	st, err := tsdb.Open(t.TempDir())
+	parsed, err := ReadExecutionCSV(bytes.NewReader(buf.Bytes()), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := tsdb.OpenOptions(t.TempDir(), tsdb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := StoreExecutionCSV(st, "csvjob", "hist_X", bytes.NewReader(buf.Bytes()), 2); err != nil {
+	if err := st.Register("csvjob", len(parsed.Nodes())); err != nil {
+		t.Fatal(err)
+	}
+	for _, node := range parsed.Nodes() {
+		for _, m := range parsed.Metrics() {
+			s := parsed.Get(node, m)
+			offs := make([]time.Duration, s.Len())
+			for i := range offs {
+				offs[i] = s.OffsetAt(i)
+			}
+			if err := st.Append("csvjob", m, node, offs, s.ValuesView()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := st.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Finish("csvjob", "hist_X"); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	execs := st.Executions()
@@ -109,16 +137,19 @@ func TestStoreExecutionCSVRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
 
-	// The file-path variant lands the same data.
-	path := filepath.Join(t.TempDir(), "exec.csv")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
+// ReadExecutionCSVFile parses a multi-node execution CSV (the
+// WriteExecutionCSV format) directly from a read-only memory mapping of
+// the file.
+func ReadExecutionCSVFile(path string, workers int) (*telemetry.NodeSet, error) {
+	m, err := vfs.OS{}.MapFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("ldms: map execution CSV: %w", err)
 	}
-	if err := StoreExecutionCSVFile(st, "csvjob2", "", path, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(st.Executions()); got != 2 {
-		t.Fatalf("executions after file conversion: %d, want 2", got)
-	}
+	defer m.Close()
+	// The returned NodeSet owns freshly built columns (the parser
+	// copies fields out while converting), so closing the mapping here
+	// is safe.
+	return parseExecutionCSV(m.Data, workers)
 }

@@ -180,6 +180,8 @@ func DefaultProfile() Profile {
 }
 
 // QuietProfile returns a nearly noise-free environment for calibration.
+//
+//efd:keep calibration fixture: the noise, cluster and dataset tests check model levels under it
 func QuietProfile() Profile {
 	return Profile{Jitter: 0.0005, InitAmplitude: 0.3, InitSettle: 10 * time.Second}
 }

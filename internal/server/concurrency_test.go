@@ -48,7 +48,8 @@ func referenceState(t *testing.T, p jobPlan) jobState {
 	d := trainedDict(t)
 	st := core.NewStream(d, 2)
 	for _, smp := range p.samples {
-		st.Feed(smp.Metric, smp.Node, time.Duration(smp.OffsetS*float64(time.Second)), smp.Value)
+		off := []time.Duration{time.Duration(smp.OffsetS * float64(time.Second))}
+		st.FeedRun(smp.Metric, smp.Node, off, []float64{smp.Value})
 	}
 	res := st.Recognize()
 	return jobState{

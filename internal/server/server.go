@@ -53,7 +53,6 @@ import (
 	"time"
 
 	"repro/efd/monitor"
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -86,13 +85,8 @@ type Server struct {
 	obs *serverObs
 }
 
-// New returns a service over the dictionary. The server takes
-// ownership of the dictionary's concurrency: all further access must
-// go through the server (or SaveDictionary).
-func New(dict *core.Dictionary) *Server { return NewEngine(monitor.New(dict)) }
-
-// NewEngine wraps an existing engine — the path for embedders that
-// built (and possibly pre-loaded) the engine themselves.
+// NewEngine returns the HTTP service over an engine the caller built
+// (and possibly pre-loaded).
 func NewEngine(e *monitor.Engine) *Server {
 	return &Server{Engine: e, MaxBodyBytes: DefaultMaxBodyBytes}
 }

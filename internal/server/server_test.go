@@ -536,3 +536,6 @@ func TestConcurrentFeeding(t *testing.T) {
 		}
 	}
 }
+
+// New returns a service over the dictionary, on a fresh engine.
+func New(dict *core.Dictionary) *Server { return NewEngine(monitor.New(dict)) }

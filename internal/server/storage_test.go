@@ -23,7 +23,7 @@ func storageFixture(t *testing.T, dir string) (*Server, *httptest.Server, *tsdb.
 		t.Fatal(err)
 	}
 	d.Learn(fixedSource{nodes: 2, level: 6000}, apps.Label{App: "ft", Input: apps.InputX})
-	st, err := tsdb.Open(dir)
+	st, err := tsdb.OpenOptions(dir, tsdb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

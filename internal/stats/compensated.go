@@ -3,11 +3,11 @@ package stats
 import "math"
 
 // This file holds the error-free transformations and double-double
-// (~106-bit) arithmetic behind the telemetry layer's prefix power sums
-// and the compensated moment computations: TwoSum/TwoProd building
-// blocks, a DD running accumulator, and MomentsFromPowerSums, which
-// recovers the windowed descriptive moments from raw Σx, Σx², Σx³, Σx⁴
-// without catastrophic cancellation.
+// (~106-bit) arithmetic behind the telemetry layer's prefix sums and
+// the compensated moment computations: TwoSum/TwoProd building blocks,
+// a DD running accumulator, and MomentsFromPowerSums, which recovers
+// the windowed descriptive moments from raw Σx, Σx², Σx³, Σx⁴ without
+// catastrophic cancellation.
 
 // TwoSum returns s = fl(a+b) and the exact rounding error e, so that
 // a + b == s + e exactly (Knuth's branch-free error-free addition).
@@ -31,9 +31,6 @@ func twoProd(a, b float64) (p, e float64) {
 type DD struct {
 	Hi, Lo float64
 }
-
-// DDFrom returns the double-double representation of x.
-func DDFrom(x float64) DD { return DD{Hi: x} }
 
 // Sq returns the exact double-double square of x. Power sums must be
 // accumulated from exact squares — a rounded x*x already discards the

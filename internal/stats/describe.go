@@ -9,18 +9,6 @@ import (
 // ErrEmpty is returned by statistics that are undefined on empty input.
 var ErrEmpty = errors.New("stats: empty input")
 
-// Mean returns the arithmetic mean of xs, or 0 for empty input.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
 // Sum returns the sum of xs using Kahan compensated summation, which
 // keeps long 1 Hz telemetry windows accurate even when large baselines
 // carry small fluctuations.
@@ -67,6 +55,8 @@ func Variance(xs []float64) float64 {
 }
 
 // StdDev returns the unbiased sample standard deviation of xs.
+//
+//efd:keep oracle: TestDescribeMatchesStandaloneBitwise compares Describe against it
 func StdDev(xs []float64) float64 {
 	return math.Sqrt(Variance(xs))
 }
@@ -102,6 +92,8 @@ func Max(xs []float64) float64 {
 // Skewness returns the adjusted Fisher–Pearson sample skewness of xs
 // (the definition scipy/pandas use), or 0 when fewer than three samples
 // are available or the variance is zero.
+//
+//efd:keep oracle: TestDescribeMatchesStandaloneBitwise compares Describe against it
 func Skewness(xs []float64) float64 {
 	n := float64(len(xs))
 	if n < 3 {
@@ -133,6 +125,8 @@ func Skewness(xs []float64) float64 {
 // Kurtosis returns the sample excess kurtosis of xs with the standard
 // bias correction (Fisher definition: normal distribution → 0), or 0
 // when fewer than four samples are available or the variance is zero.
+//
+//efd:keep oracle: TestDescribeMatchesStandaloneBitwise compares Describe against it
 func Kurtosis(xs []float64) float64 {
 	n := float64(len(xs))
 	if n < 4 {
@@ -161,26 +155,12 @@ func Kurtosis(xs []float64) float64 {
 	return ((n - 1) / ((n - 2) * (n - 3))) * ((n+1)*g2 + 6)
 }
 
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using
-// linear interpolation between closest ranks — the same method as
-// numpy.percentile's default. The input is not modified. It returns an
-// error for empty input or out-of-range p.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, errors.New("stats: percentile out of range [0,100]")
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p), nil
-}
-
-// Percentiles returns the requested percentiles of xs in one pass over a
-// single sorted copy, which is markedly cheaper than repeated Percentile
-// calls when extracting Taxonomist-style feature vectors.
+// Percentiles returns the requested percentiles (0 ≤ p ≤ 100) of xs
+// from one sorted copy, interpolating linearly between closest ranks —
+// the same method as numpy.percentile's default. The input is not
+// modified.
+//
+//efd:keep oracle: TestDescribeMatchesStandaloneBitwise compares Describe against it
 func Percentiles(xs []float64, ps []float64) ([]float64, error) {
 	if len(xs) == 0 {
 		return nil, ErrEmpty
@@ -211,15 +191,6 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Median returns the 50th percentile of xs, or 0 for empty input.
-func Median(xs []float64) float64 {
-	v, err := Percentile(xs, 50)
-	if err != nil {
-		return 0
-	}
-	return v
 }
 
 // Summary bundles the descriptive statistics of a sample window. It is
@@ -317,14 +288,5 @@ func (s Summary) Vector() []float64 {
 	return []float64{
 		s.Min, s.Max, s.Mean, s.StdDev, s.Skewness, s.Kurtosis,
 		s.P5, s.P25, s.P50, s.P75, s.P95,
-	}
-}
-
-// FeatureNames returns the names of the components of Summary.Vector, in
-// order. Useful for rendering feature-importance reports.
-func FeatureNames() []string {
-	return []string{
-		"min", "max", "mean", "std", "skew", "kurtosis",
-		"p5", "p25", "p50", "p75", "p95",
 	}
 }

@@ -1,8 +1,10 @@
 package stats
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -284,5 +286,52 @@ func TestShiftInvariance(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Mean returns the arithmetic mean of xs, or 0 for empty input.
+func Mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := 0.0
+	for _, x := range xs {
+		s += x
+	}
+	return s / float64(len(xs))
+}
+
+// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using
+// linear interpolation between closest ranks — the same method as
+// numpy.percentile's default. The input is not modified. It returns an
+// error for empty input or out-of-range p.
+func Percentile(xs []float64, p float64) (float64, error) {
+	if len(xs) == 0 {
+		return 0, ErrEmpty
+	}
+	if p < 0 || p > 100 {
+		return 0, errors.New("stats: percentile out of range [0,100]")
+	}
+	sorted := make([]float64, len(xs))
+	copy(sorted, xs)
+	sort.Float64s(sorted)
+	return percentileSorted(sorted, p), nil
+}
+
+// Median returns the 50th percentile of xs, or 0 for empty input.
+func Median(xs []float64) float64 {
+	v, err := Percentile(xs, 50)
+	if err != nil {
+		return 0
+	}
+	return v
+}
+
+// FeatureNames returns the names of the components of Summary.Vector, in
+// order. Useful for rendering feature-importance reports.
+func FeatureNames() []string {
+	return []string{
+		"min", "max", "mean", "std", "skew", "kurtosis",
+		"p5", "p25", "p50", "p75", "p95",
 	}
 }

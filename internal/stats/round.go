@@ -70,33 +70,6 @@ func bytesAsString(b []byte) string {
 	return unsafe.String(&b[0], len(b))
 }
 
-// RoundHalfUpDepth is a variant of RoundDepth that breaks ties away from
-// zero (the rounding school children learn) instead of IEEE
-// round-half-to-even. The paper's Table 1 is agnostic between the two
-// (none of its examples are ties); this variant exists for users who need
-// to match half-up systems.
-func RoundHalfUpDepth(x float64, depth int) float64 {
-	if x == 0 || math.IsNaN(x) || math.IsInf(x, 0) {
-		return x
-	}
-	if depth < 1 {
-		depth = 1
-	}
-	if depth > MaxRoundDepth {
-		depth = MaxRoundDepth
-	}
-	mag := int(math.Floor(math.Log10(math.Abs(x))))
-	// Scale so the target digit sits in the unit position.
-	scale := math.Pow(10, float64(depth-1-mag))
-	scaled := x * scale
-	r := math.Floor(scaled + 0.5)
-	if x < 0 {
-		r = math.Ceil(scaled - 0.5)
-	}
-	// Re-normalize through the decimal printer for bit stability.
-	return RoundDepth(r/scale, depth)
-}
-
 // SignificantDigits reports the number of significant decimal digits in
 // the shortest decimal representation of x: the count of digits from the
 // first non-zero digit to the last non-zero digit. Zero has zero
@@ -120,43 +93,6 @@ func SignificantDigits(x float64) int {
 		}
 	}
 	return n
-}
-
-// DecimalMagnitude returns the exponent of the leading decimal digit of
-// x, i.e. floor(log10(|x|)), computed through the decimal printer so that
-// values such as 1000 (whose log10 can land just below an integer in
-// floating point) are classified correctly. Zero/NaN/Inf return 0.
-func DecimalMagnitude(x float64) int {
-	if x == 0 || math.IsNaN(x) || math.IsInf(x, 0) {
-		return 0
-	}
-	s := strconv.FormatFloat(math.Abs(x), 'e', -1, 64)
-	for i := 0; i < len(s); i++ {
-		if s[i] == 'e' || s[i] == 'E' {
-			e, err := strconv.Atoi(s[i+1:])
-			if err != nil {
-				return int(math.Floor(math.Log10(math.Abs(x))))
-			}
-			return e
-		}
-	}
-	return int(math.Floor(math.Log10(math.Abs(x))))
-}
-
-// RoundingStep returns the absolute difference between adjacent
-// representable rounded values around x at the given depth — the
-// quantization step of the fingerprint space. For example at depth 2,
-// values near 1358 quantize in steps of 10^(3-1) = 100. A larger step
-// means heavier pruning.
-func RoundingStep(x float64, depth int) float64 {
-	if x == 0 || math.IsNaN(x) || math.IsInf(x, 0) {
-		return 0
-	}
-	if depth < 1 {
-		depth = 1
-	}
-	mag := DecimalMagnitude(x)
-	return math.Pow(10, float64(mag-depth+1))
 }
 
 // FormatKey renders a rounded measurement as its canonical shortest

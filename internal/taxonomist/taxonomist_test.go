@@ -262,3 +262,52 @@ func TestFeatureNamesFor(t *testing.T) {
 		t.Errorf("name layout: %v", names)
 	}
 }
+
+// Classes returns the class table shared by all member trees.
+func (f *Forest) Classes() []string { return f.classes }
+
+// Trees reports the ensemble size.
+func (f *Forest) Trees() int { return len(f.trees) }
+
+// Classes returns the class table of the tree.
+func (t *Tree) Classes() []string { return t.classes }
+
+// Predict returns the majority class of the leaf the vector falls into.
+func (t *Tree) Predict(values []float64) string {
+	probs := t.Proba(values)
+	best, bestP := 0, -1.0
+	for i, p := range probs {
+		if p > bestP {
+			bestP = p
+			best = i
+		}
+	}
+	return t.classes[best]
+}
+
+// Depth reports the height of the tree (a single leaf has depth 0).
+func (t *Tree) Depth() int { return depthOf(t.root) }
+
+func depthOf(n *node) int {
+	if n == nil || n.counts != nil {
+		return 0
+	}
+	l, r := depthOf(n.left), depthOf(n.right)
+	if l > r {
+		return l + 1
+	}
+	return r + 1
+}
+
+// Leaves reports the number of leaf nodes.
+func (t *Tree) Leaves() int { return leavesOf(t.root) }
+
+func leavesOf(n *node) int {
+	if n == nil {
+		return 0
+	}
+	if n.counts != nil {
+		return 1
+	}
+	return leavesOf(n.left) + leavesOf(n.right)
+}

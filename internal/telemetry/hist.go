@@ -1,34 +1,6 @@
 package telemetry
 
-// Sealed per-series histograms: the percentile analogue of Seal's
-// prefix sums. SealHist bins the series values into a fixed number of
-// equal-width bins between the series minimum and maximum and builds,
-// per sample index, the cumulative bin counts — a (n+1)×bins prefix
-// matrix in which row i holds, for every bin b, the number of samples
-// among vals[:i] whose bin is ≤ b. A windowed histogram is then one
-// row subtraction and a windowed percentile a binary search over the
-// subtracted row, so the cost is O(log bins) regardless of window
-// length — the property that makes percentile queries practical over
-// the tsdb's memory-mapped historical segments.
-//
-// The percentile estimator is deterministic: it interpolates the
-// fractional rank p/100·(n−1) (the convention of stats.Percentile)
-// between the two enclosing integer ranks, placing the k-th ranked
-// sample uniformly at the (k−cumBefore+½)/count point of its bin. Two
-// series with bit-identical values and edges produce bit-identical
-// answers, which is what lets sealed percentile queries over a
-// memory-mapped segment match the in-memory series exactly. The
-// estimate itself is approximate (error bounded by one bin width);
-// exact percentiles still go through Slice + stats.Percentile.
-
-import (
-	"errors"
-	"fmt"
-	"math"
-	"sort"
-)
-
-// DefaultHistBins is the bin count used when SealHist is given a
+// DefaultHistBins is the bin count SketchValues uses when given a
 // non-positive one, and the resolution the tsdb stores in segment
 // footers.
 const DefaultHistBins = 32
@@ -85,209 +57,4 @@ func binOf(x, min, max float64, bins int) int {
 		b = bins - 1
 	}
 	return b
-}
-
-// Count reports the total number of samples in the sketch.
-func (h HistSketch) Count() int {
-	n := 0
-	for _, c := range h.Counts {
-		n += int(c)
-	}
-	return n
-}
-
-// Percentile estimates the p-th percentile (0 ≤ p ≤ 100) of the
-// sketched values; see the file comment for the estimator. It returns
-// an error for an empty sketch or out-of-range p.
-func (h HistSketch) Percentile(p float64) (float64, error) {
-	if p < 0 || p > 100 {
-		return 0, errors.New("telemetry: percentile out of range [0,100]")
-	}
-	n := h.Count()
-	if n == 0 {
-		return 0, errors.New("telemetry: empty histogram")
-	}
-	// Decumulate on the fly: build the cumulative form the shared
-	// estimator expects.
-	cum := make([]uint32, len(h.Counts))
-	var acc uint32
-	for b, c := range h.Counts {
-		acc += c
-		cum[b] = acc
-	}
-	return percentileFromCum(cum, h.Min, h.Max, n, p), nil
-}
-
-// percentileFromCum is the shared estimator over a cumulative bin-count
-// row (cum[b] = samples with bin ≤ b, nondecreasing, cum[last] = n).
-func percentileFromCum(cum []uint32, min, max float64, n int, p float64) float64 {
-	if !(max > min) {
-		return min // constant (or single-valued) window
-	}
-	rank := p / 100 * float64(n-1)
-	lo := math.Floor(rank)
-	hi := math.Ceil(rank)
-	vlo := valueAtRank(cum, min, max, int(lo))
-	if lo == hi {
-		return vlo
-	}
-	vhi := valueAtRank(cum, min, max, int(hi))
-	frac := rank - lo
-	return vlo*(1-frac) + vhi*frac
-}
-
-// valueAtRank estimates the value of the k-th ranked (0-based) sample
-// from the cumulative bin counts, placing ranked samples uniformly at
-// bin midpoint offsets.
-func valueAtRank(cum []uint32, min, max float64, k int) float64 {
-	bins := len(cum)
-	// Smallest bin whose cumulative count exceeds k.
-	b := sort.Search(bins, func(i int) bool { return int(cum[i]) > k })
-	if b >= bins { // k beyond the data; clamp (defensive, ranks are bounded)
-		return max
-	}
-	before := 0
-	if b > 0 {
-		before = int(cum[b-1])
-	}
-	count := int(cum[b]) - before
-	width := (max - min) / float64(bins)
-	pos := (float64(k-before) + 0.5) / float64(count)
-	return min + width*(float64(b)+pos)
-}
-
-// ErrHistNotSealed is returned by the windowed percentile accessors
-// before SealHist has run.
-var ErrHistNotSealed = errors.New("telemetry: series histogram not sealed; call SealHist first")
-
-// SealHist seals the series for windowed percentile queries: it sorts
-// if needed, derives the bin edges from the series minimum and maximum,
-// and builds the cumulative bin-count prefix matrix. A non-positive
-// bins uses DefaultHistBins. It costs one pass plus 4·bins bytes per
-// sample (opt-in, like SealStats); any mutation drops it. Sealing with
-// different bins re-seals at the new resolution.
-func (s *Series) SealHist(bins int) {
-	if bins <= 0 {
-		bins = DefaultHistBins
-	}
-	if s.unsorted {
-		s.Sort()
-	}
-	var mn, mx float64
-	if len(s.vals) > 0 {
-		mn, mx = s.vals[0], s.vals[0]
-		for _, x := range s.vals[1:] {
-			if x < mn {
-				mn = x
-			}
-			if x > mx {
-				mx = x
-			}
-		}
-	}
-	s.sealHistEdges(bins, mn, mx)
-}
-
-// SealHistEdges is SealHist with explicit bin edges. The tsdb uses it
-// to re-seal a memory-mapped series with the exact edges persisted in
-// the segment footer, so stored and in-memory answers are bit-identical
-// even if a caller narrowed the series first. Edges must satisfy
-// max ≥ min; values outside them clamp to the edge bins.
-func (s *Series) SealHistEdges(bins int, min, max float64) {
-	if bins <= 0 {
-		bins = DefaultHistBins
-	}
-	if s.unsorted {
-		s.Sort()
-	}
-	s.sealHistEdges(bins, min, max)
-}
-
-func (s *Series) sealHistEdges(bins int, min, max float64) {
-	n := len(s.vals)
-	hist := make([]uint32, (n+1)*bins)
-	row := hist[:bins] // row 0 stays zero
-	for i, x := range s.vals {
-		next := hist[(i+1)*bins : (i+2)*bins]
-		copy(next, row)
-		for b := binOf(x, min, max, bins); b < bins; b++ {
-			next[b]++
-		}
-		row = next
-	}
-	s.hist = hist
-	s.hbins, s.hmin, s.hmax = bins, min, max
-}
-
-// HistSealed reports whether the histogram prefix matrix is current.
-func (s *Series) HistSealed() bool { return s.hist != nil }
-
-// Hist returns the whole-series sketch (the decumulated last prefix
-// row), or false before SealHist.
-func (s *Series) Hist() (HistSketch, bool) {
-	if s.hist == nil {
-		return HistSketch{}, false
-	}
-	return s.histBetween(0, len(s.vals)), true
-}
-
-// histBetween decumulates the prefix rows into per-bin counts for
-// samples [lo, hi).
-func (s *Series) histBetween(lo, hi int) HistSketch {
-	bins := s.hbins
-	sk := HistSketch{Min: s.hmin, Max: s.hmax, Counts: make([]uint32, bins)}
-	rl := s.hist[lo*bins : (lo+1)*bins]
-	rh := s.hist[hi*bins : (hi+1)*bins]
-	prev := uint32(0)
-	for b := range sk.Counts {
-		c := rh[b] - rl[b]
-		sk.Counts[b] = c - prev
-		prev = c
-	}
-	return sk
-}
-
-// WindowHist returns the histogram of the samples in the window as a
-// sketch — one prefix-row subtraction after SealHist.
-func (s *Series) WindowHist(w Window) (HistSketch, error) {
-	if s.hist == nil {
-		return HistSketch{}, ErrHistNotSealed
-	}
-	lo, hi, err := s.window(w)
-	if err != nil {
-		return HistSketch{}, err
-	}
-	return s.histBetween(lo, hi), nil
-}
-
-// WindowPercentile estimates the p-th percentile of the samples in the
-// window from the sealed histogram in O(log bins), independent of
-// window length. The estimate is within one bin width of the exact
-// percentile; two series with identical values and edges answer
-// bit-identically (the property the tsdb's stored-vs-live tests pin).
-func (s *Series) WindowPercentile(w Window, p float64) (float64, error) {
-	if s.hist == nil {
-		return 0, ErrHistNotSealed
-	}
-	if p < 0 || p > 100 {
-		return 0, fmt.Errorf("telemetry: percentile %g out of range [0,100]", p)
-	}
-	lo, hi, err := s.window(w)
-	if err != nil {
-		return 0, err
-	}
-	bins := s.hbins
-	rl := s.hist[lo*bins : (lo+1)*bins]
-	rh := s.hist[hi*bins : (hi+1)*bins]
-	// The subtracted row is itself a cumulative bin-count row for the
-	// window; materialize it on the stack for typical bin counts.
-	var buf [DefaultHistBins]uint32
-	cum := buf[:0]
-	if bins > len(buf) {
-		cum = make([]uint32, 0, bins)
-	}
-	for b := 0; b < bins; b++ {
-		cum = append(cum, rh[b]-rl[b])
-	}
-	return percentileFromCum(cum, s.hmin, s.hmax, hi-lo, p), nil
 }

@@ -102,6 +102,8 @@ func (ns *NodeSet) Duration() time.Duration {
 // Validate checks every series in the set and also verifies that all
 // nodes expose the same metric names, which the dataset format
 // guarantees and the recognizer assumes.
+//
+//efd:keep well-formedness oracle: the telemetry, cluster and ldms tests check simulated and parsed telemetry with it
 func (ns *NodeSet) Validate() error {
 	var ref []string
 	for _, node := range ns.Nodes() {
@@ -137,22 +139,4 @@ func (ns *NodeSet) Validate() error {
 		}
 	}
 	return nil
-}
-
-// FilterMetrics returns a shallow view containing only the listed
-// metrics (series are shared, not copied). Unknown names are ignored.
-func (ns *NodeSet) FilterMetrics(metrics []string) *NodeSet {
-	want := make(map[string]bool, len(metrics))
-	for _, m := range metrics {
-		want[m] = true
-	}
-	out := NewNodeSet()
-	for _, m := range ns.series {
-		for name, s := range m {
-			if want[name] {
-				out.Put(s)
-			}
-		}
-	}
-	return out
 }

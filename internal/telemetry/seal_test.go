@@ -137,10 +137,10 @@ func TestSealedExplicitOffsets(t *testing.T) {
 
 func TestMutationDropsSeal(t *testing.T) {
 	s := gridSeries(100, 1)
-	s.SealStats()
+	s.Seal()
 	s.Append(sec(100), 5)
-	if s.Sealed() || s.mom != nil {
-		t.Fatal("Append should drop both seals")
+	if s.Sealed() {
+		t.Fatal("Append should drop the seal")
 	}
 	// The refreshed seal must reflect the new sample.
 	s.Seal()
@@ -208,13 +208,7 @@ func TestWindowStatsMatchesSliceStats(t *testing.T) {
 			t.Fatal(err)
 		}
 		check("unsealed", m)
-		s.Seal() // means-only seal: WindowStats still answers by scanning
-		m, err = s.WindowStats(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("sealed-means-only", m)
-		s.SealStats()
+		s.Seal()
 		m, err = s.WindowStats(w)
 		if err != nil {
 			t.Fatal(err)
@@ -241,7 +235,7 @@ func TestWindowStatsErrors(t *testing.T) {
 // on when probing thousands of windows.
 func TestSealedWindowMeanAllocFree(t *testing.T) {
 	s := gridSeries(600, 4)
-	s.SealStats()
+	s.Seal()
 	w := Window{Start: sec(60), End: sec(540)}
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := s.WindowMean(w); err != nil {

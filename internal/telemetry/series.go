@@ -21,14 +21,9 @@
 // freezes the current contents and builds a per-series prefix sum of
 // the values (~106-bit double-doubles), after which WindowMean answers
 // any window in O(1)/O(log n) regardless of window length — probing
-// many windows over one series, as Summarize, metric sweeps and
-// aligned recognition do, amortizes to a single pass. SealStats
-// additionally builds prefix power sums of the centered squares, cubes
-// and fourth powers (centering dodges the raw-moment cancellation), so
-// WindowStats — variance, skewness, kurtosis — becomes O(1) too; it is
-// opt-in because means alone are what the recognition pipeline needs.
-// Sealing costs one pass and 16 (Seal) plus 48 (SealStats) bytes per
-// sample; mutating the series again simply drops the seals. Sealed and
+// many windows over one series, as Summarize and metric sweeps do,
+// amortizes to a single pass. Sealing costs one pass and 16 bytes per
+// sample; mutating the series again simply drops the seal. Sealed and
 // unsealed answers agree to the last bit except in astronomically
 // unlikely half-ulp ties (both paths round the same correctly-rounded
 // window sums).
@@ -85,26 +80,11 @@ type Series struct {
 	// sum of vals[:i], so a window sum is one subtraction. nil until
 	// Seal; dropped by any mutation.
 	pre []stats.DD
-	// mom is the sealed higher-moment prefix column, built only by
-	// SealStats (most consumers need means alone): three interleaved
-	// (n+1)-length columns of Σ(x−center)^p for p = 2, 3, 4, centered
-	// on a mid-series value so the raw-moment cancellation stays
-	// proportional to the window's drift from center rather than the
-	// absolute baseline of the counter.
-	mom    []stats.DD
-	center float64
-	// hist is the sealed cumulative bin-count prefix matrix built by
-	// SealHist (see hist.go): (len(vals)+1)×hbins, row i holding for
-	// every bin b the number of samples among vals[:i] with bin ≤ b.
-	// nil until SealHist; dropped by any mutation.
-	hist       []uint32
-	hbins      int
-	hmin, hmax float64
 }
 
-// dropSeals invalidates every sealed index; all mutations call it.
+// dropSeals invalidates the sealed prefix sums; all mutations call it.
 func (s *Series) dropSeals() {
-	s.pre, s.mom, s.hist = nil, nil, nil
+	s.pre = nil
 }
 
 // NewSeries returns an empty series for the given metric and node with
@@ -229,7 +209,6 @@ func (s *Series) Sorted() bool { return !s.unsorted }
 // Sealing is idempotent and costs one pass over the samples plus 16
 // bytes per sample; any later Append or Sort drops the seal. A series
 // must not be sealed concurrently with reads (seal once, then share).
-// SealStats additionally prepares O(1) WindowStats.
 func (s *Series) Seal() {
 	if s.unsorted {
 		s.Sort()
@@ -245,36 +224,6 @@ func (s *Series) Seal() {
 	}
 	s.pre = pre
 }
-
-// SealStats seals the series (like Seal) and additionally builds the
-// centered higher-power prefix sums (Σ(x−c)², Σ(x−c)³, Σ(x−c)⁴), so
-// WindowStats also answers in O(1) regardless of window length. It
-// costs one more pass and 48 further bytes per sample — callers that
-// only need window means should stick to Seal.
-func (s *Series) SealStats() {
-	s.Seal()
-	if s.mom != nil {
-		return
-	}
-	n := len(s.vals)
-	if n > 0 {
-		s.center = s.vals[n/2]
-	}
-	mom := make([]stats.DD, 3*(n+1))
-	var a2, a3, a4 stats.DD
-	for i, x := range s.vals {
-		y := x - s.center
-		y2 := stats.Sq(y)
-		a2.AddDD(y2)
-		a3.AddDD(y2.Scale(y))
-		a4.AddDD(y2.Mul(y2))
-		mom[3*(i+1)], mom[3*(i+1)+1], mom[3*(i+1)+2] = a2, a3, a4
-	}
-	s.mom = mom
-}
-
-// Sealed reports whether the prefix sums are current.
-func (s *Series) Sealed() bool { return s.pre != nil }
 
 // Len reports the number of samples.
 func (s *Series) Len() int { return len(s.vals) }
@@ -306,16 +255,9 @@ func (s *Series) Duration() time.Duration {
 	return s.OffsetAt(len(s.vals) - 1)
 }
 
-// Values returns a copy of the raw values of all samples, in order.
-func (s *Series) Values() []float64 {
-	out := make([]float64, len(s.vals))
-	copy(out, s.vals)
-	return out
-}
-
-// ValuesView returns the value column itself, avoiding the copy that
-// Values makes. The caller must treat it as read-only and must not
-// hold it across mutations of the series.
+// ValuesView returns the value column itself, without copying. The
+// caller must treat it as read-only and must not hold it across
+// mutations of the series.
 func (s *Series) ValuesView() []float64 { return s.vals }
 
 // Window is a half-open time interval [Start, End) measured from the
@@ -355,9 +297,6 @@ func (w Window) Key() string {
 func (w Window) Valid() bool {
 	return w.Start >= 0 && w.End > w.Start
 }
-
-// Duration reports the length of the window.
-func (w Window) Duration() time.Duration { return w.End - w.Start }
 
 // Contains reports whether offset falls inside the half-open window.
 func (w Window) Contains(offset time.Duration) bool {
@@ -433,21 +372,6 @@ func (s *Series) window(w Window) (lo, hi int, err error) {
 	return lo, hi, nil
 }
 
-// Slice returns the values of the samples falling in the window. It
-// returns ErrShortSeries when the series ends before the window starts
-// or contains no samples in the window, so callers can distinguish "the
-// application finished early" from "the application was idle", and
-// ErrUnsortedSeries when out-of-order appends have not been Sorted yet.
-func (s *Series) Slice(w Window) ([]float64, error) {
-	lo, hi, err := s.window(w)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, hi-lo)
-	copy(out, s.vals[lo:hi])
-	return out, nil
-}
-
 // WindowMean returns the arithmetic mean of the samples in the window.
 // On a sealed series it is a prefix-sum subtraction — O(1) on the
 // implicit grid, O(log n) with explicit offsets, independent of window
@@ -475,11 +399,11 @@ func (s *Series) WindowMean(w Window) (float64, error) {
 // WindowStats returns the descriptive moments (count, mean, variance,
 // standard deviation, skewness, kurtosis) of the samples in the
 // window, using the same estimator conventions as the stats package's
-// slice functions. After SealStats all four power sums come from
-// prefix subtractions, so the cost is independent of window length;
-// otherwise the window is scanned once.
+// slice functions. It scans the window once, accumulating power sums
+// centered on the window's first value in double-double.
 //
 //efd:hotpath
+//efd:keep deletion deferred: only tests call it, and deleting it retires TestWindowStatsMatchesSliceStats and TestWindowStatsErrors (see ROADMAP.md)
 func (s *Series) WindowStats(w Window) (stats.Moments, error) {
 	lo, hi, err := s.window(w)
 	if err != nil {
@@ -487,56 +411,18 @@ func (s *Series) WindowStats(w Window) (stats.Moments, error) {
 	}
 	n := hi - lo
 	var s1, s2, s3, s4 stats.DD
-	var center float64
-	if s.pre != nil && s.mom != nil {
-		center = s.center
-		// The mean prefix is uncentered; shift it to Σ(x−center) for
-		// the moment assembly. center*n is exact in double-double.
-		s1 = s.pre[hi].Sub(s.pre[lo]).Sub(stats.DDFrom(center).Scale(float64(n)))
-		s2 = s.mom[3*hi].Sub(s.mom[3*lo])
-		s3 = s.mom[3*hi+1].Sub(s.mom[3*lo+1])
-		s4 = s.mom[3*hi+2].Sub(s.mom[3*lo+2])
-	} else {
-		center = s.vals[lo]
-		for _, x := range s.vals[lo:hi] {
-			y := x - center
-			y2 := stats.Sq(y)
-			s1.Add(y)
-			s2.AddDD(y2)
-			s3.AddDD(y2.Scale(y))
-			s4.AddDD(y2.Mul(y2))
-		}
+	center := s.vals[lo]
+	for _, x := range s.vals[lo:hi] {
+		y := x - center
+		y2 := stats.Sq(y)
+		s1.Add(y)
+		s2.AddDD(y2)
+		s3.AddDD(y2.Scale(y))
+		s4.AddDD(y2.Mul(y2))
 	}
 	m := stats.MomentsFromPowerSums(n, s1, s2, s3, s4)
 	m.Mean += center
 	return m, nil
-}
-
-// Resample returns a copy of the series re-gridded to the given period
-// using last-observation-carried-forward, starting at offset zero and
-// ending at the series duration. It is used to repair telemetry with
-// missing or jittered collection ticks before windowing.
-func (s *Series) Resample(period time.Duration) (*Series, error) {
-	if period <= 0 {
-		return nil, errors.New("telemetry: non-positive resample period")
-	}
-	if len(s.vals) == 0 {
-		return &Series{Metric: s.Metric, Node: s.Node}, nil
-	}
-	dur := s.Duration()
-	n := int(dur/period) + 1
-	out := NewSeries(s.Metric, s.Node, n)
-	j := 0
-	last := s.vals[0]
-	for i := 0; i < n; i++ {
-		at := time.Duration(i) * period
-		for j < len(s.vals) && s.OffsetAt(j) <= at {
-			last = s.vals[j]
-			j++
-		}
-		out.Append(at, last)
-	}
-	return out, nil
 }
 
 // Validate reports the first problem found in the series: unsorted

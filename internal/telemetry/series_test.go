@@ -325,3 +325,76 @@ func TestFilterMetrics(t *testing.T) {
 		t.Error("filtered series should be shared, not copied")
 	}
 }
+
+// FilterMetrics returns a shallow view containing only the listed
+// metrics (series are shared, not copied). Unknown names are ignored.
+func (ns *NodeSet) FilterMetrics(metrics []string) *NodeSet {
+	want := make(map[string]bool, len(metrics))
+	for _, m := range metrics {
+		want[m] = true
+	}
+	out := NewNodeSet()
+	for _, m := range ns.series {
+		for name, s := range m {
+			if want[name] {
+				out.Put(s)
+			}
+		}
+	}
+	return out
+}
+
+// Sealed reports whether the prefix sums are current.
+func (s *Series) Sealed() bool { return s.pre != nil }
+
+// Values returns a copy of the raw values of all samples, in order.
+func (s *Series) Values() []float64 {
+	out := make([]float64, len(s.vals))
+	copy(out, s.vals)
+	return out
+}
+
+// Duration reports the length of the window.
+func (w Window) Duration() time.Duration { return w.End - w.Start }
+
+// Slice returns the values of the samples falling in the window. It
+// returns ErrShortSeries when the series ends before the window starts
+// or contains no samples in the window, so callers can distinguish "the
+// application finished early" from "the application was idle", and
+// ErrUnsortedSeries when out-of-order appends have not been Sorted yet.
+func (s *Series) Slice(w Window) ([]float64, error) {
+	lo, hi, err := s.window(w)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, hi-lo)
+	copy(out, s.vals[lo:hi])
+	return out, nil
+}
+
+// Resample returns a copy of the series re-gridded to the given period
+// using last-observation-carried-forward, starting at offset zero and
+// ending at the series duration. It is used to repair telemetry with
+// missing or jittered collection ticks before windowing.
+func (s *Series) Resample(period time.Duration) (*Series, error) {
+	if period <= 0 {
+		return nil, errors.New("telemetry: non-positive resample period")
+	}
+	if len(s.vals) == 0 {
+		return &Series{Metric: s.Metric, Node: s.Node}, nil
+	}
+	dur := s.Duration()
+	n := int(dur/period) + 1
+	out := NewSeries(s.Metric, s.Node, n)
+	j := 0
+	last := s.vals[0]
+	for i := 0; i < n; i++ {
+		at := time.Duration(i) * period
+		for j < len(s.vals) && s.OffsetAt(j) <= at {
+			last = s.vals[j]
+			j++
+		}
+		out.Append(at, last)
+	}
+	return out, nil
+}

@@ -20,16 +20,15 @@
 // file (segment.go) whose value and offset columns mirror
 // telemetry.Series exactly, 8-byte aligned, with per-block CRC-32Cs, a
 // JSON footer indexed by job/metric/node, and a per-series histogram
-// sketch for percentile queries. After a flush the WAL is compacted
-// down to the still-live jobs, bounding replay work.
+// sketch. After a flush the WAL is compacted down to the still-live
+// jobs, bounding replay work.
 //
 // Reads memory-map segments and hand the mapped value columns to
 // telemetry.NewSeriesFromColumns without copying a byte; Seal then
 // builds its prefix sums over the mapped data, so stored executions
-// answer window queries (means, moments, histogram percentiles via
-// SealHistEdges with the footer's stored edges) bit-identically to the
-// in-memory series they were flushed from — and datasets far larger
-// than RAM stay queryable, paged in on demand.
+// answer window queries bit-identically to the in-memory series they
+// were flushed from — and datasets far larger than RAM stay queryable,
+// paged in on demand.
 //
 // # Durability guarantees
 //
@@ -48,6 +47,5 @@
 //	  execution is ever duplicated or lost.
 //
 // The server (internal/server) wires this store behind its HTTP API;
-// cmd/efdd enables it with -data-dir; internal/ldms bulk-converts
-// execution CSVs into segments via Store.IngestExecution.
+// cmd/efdd enables it with -data-dir.
 package tsdb

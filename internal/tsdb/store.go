@@ -355,12 +355,9 @@ func isDiskFull(err error) bool {
 	return errors.Is(err, ErrDiskFull) || vfs.IsDiskFull(err)
 }
 
-// Open opens (or creates) a store in dir with default options,
-// replaying the WAL and mapping every valid segment. Torn WAL tails
-// and invalid segment files are quarantined, never silently dropped.
-func Open(dir string) (*Store, error) { return OpenOptions(dir, Options{}) }
-
-// OpenOptions is Open with explicit options. Recovery I/O is
+// OpenOptions opens (or creates) a store in dir, replaying the WAL
+// and mapping every valid segment. Torn WAL tails and invalid segment
+// files are quarantined, never silently dropped. Recovery I/O is
 // fault-tolerant: transient failures retry with bounded backoff
 // (Options.RecoverRetries/RecoverBackoff), torn or rotted artifacts
 // are quarantined precisely, and Open errors only when recovery is
@@ -866,64 +863,6 @@ func (s *Store) Drop(job string) error {
 	return nil
 }
 
-// IngestExecution stores a complete execution's telemetry directly as
-// a segment — the bulk path used by the CSV converter. It bypasses the
-// WAL (the data is already on disk in source form) and is durable when
-// it returns.
-func (s *Store) IngestExecution(job, label string, ns *telemetry.NodeSet) error {
-	if job == "" {
-		return errors.New("tsdb: empty job ID")
-	}
-	nodes := ns.Nodes()
-	if len(nodes) == 0 {
-		return errors.New("tsdb: execution has no telemetry")
-	}
-	jm := newJobMem(job, nodes[len(nodes)-1]+1)
-	for _, node := range nodes {
-		for _, metric := range ns.Metrics() {
-			series := ns.Get(node, metric)
-			if series == nil {
-				continue
-			}
-			n := series.Len()
-			vals := make([]float64, n)
-			copy(vals, series.ValuesView())
-			offs := make([]time.Duration, n)
-			grid := true
-			for i := 0; i < n; i++ {
-				offs[i] = series.OffsetAt(i)
-				if offs[i] != time.Duration(i)*telemetry.DefaultPeriod {
-					grid = false
-				}
-			}
-			ms := jm.seriesFor(metric, node)
-			if grid {
-				offs = nil
-			}
-			ms.offs, ms.vals, ms.unsorted = offs, vals, !series.Sorted()
-			jm.samples += int64(n)
-			if d := series.Duration(); d > jm.lastOff {
-				jm.lastOff = d
-			}
-		}
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if err := s.unhealthyLocked(); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	jm.finished, jm.seq, jm.label = true, s.nextSeq, label
-	s.nextSeq++
-	s.pending = append(s.pending, jm)
-	s.pendBytes += jm.bytes()
-	s.mu.Unlock()
-	return s.Flush()
-}
-
 // Flush writes every pending finished execution into a new immutable
 // segment, maps it, and compacts the WAL down to the still-live jobs.
 // Concurrent callers serialize; appends to live jobs proceed while the
@@ -1349,30 +1288,6 @@ func (s *Store) executionSeries(job string, seal bool) (*telemetry.NodeSet, erro
 		return bestSeg.nodeSet(bestExec, seal), nil
 	}
 	return nil, fmt.Errorf("%w: %q", ErrUnknownExecution, job)
-}
-
-// ExecutionHist returns the persisted histogram sketch of one stored
-// series — whole-series percentiles without touching the columns, and
-// the exact edges for re-sealing a mapped series via SealHistEdges.
-func (s *Store) ExecutionHist(job, metric string, node int) (telemetry.HistSketch, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var best *segExec
-	for _, g := range s.segs {
-		if e := g.exec(job); e != nil && (best == nil || e.Seq > best.Seq) {
-			best = e
-		}
-	}
-	if best == nil {
-		return telemetry.HistSketch{}, false
-	}
-	for i := range best.Series {
-		ss := &best.Series[i]
-		if ss.Metric == metric && ss.Node == node {
-			return ss.Hist, true
-		}
-	}
-	return telemetry.HistSketch{}, false
 }
 
 // Series resolves a job ID to its telemetry: a snapshot of the live

@@ -192,26 +192,6 @@ func TestFlushAndStoredQueriesMatchMemory(t *testing.T) {
 			if rst != sst {
 				t.Errorf("%s[%d] stored stats %+v != in-memory %+v", m, node, sst, rst)
 			}
-
-			// Histogram percentiles: re-seal the mapped series with the
-			// footer's stored edges; in-memory side derives its own. The
-			// values are bit-identical, so both must answer identically.
-			sk, ok := st.ExecutionHist("job-x", m, node)
-			if !ok {
-				t.Fatalf("no stored hist for %s[%d]", m, node)
-			}
-			ss.SealHistEdges(len(sk.Counts), sk.Min, sk.Max)
-			rs.SealHist(len(sk.Counts))
-			for _, p := range []float64{5, 50, 95} {
-				rp, err1 := rs.WindowPercentile(w, p)
-				sp, err2 := ss.WindowPercentile(w, p)
-				if err1 != nil || err2 != nil {
-					t.Fatalf("WindowPercentile: %v / %v", err1, err2)
-				}
-				if rp != sp {
-					t.Errorf("%s[%d] p%g stored %v != in-memory %v", m, node, p, sp, rp)
-				}
-			}
 		}
 	}
 
@@ -554,4 +534,64 @@ func TestWALCompactionPreservesPending(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, walQuarantine)); !os.IsNotExist(err) {
 		t.Errorf("unexpected quarantine file (err=%v)", err)
 	}
+}
+
+// Open is OpenOptions with default options.
+func Open(dir string) (*Store, error) { return OpenOptions(dir, Options{}) }
+
+// IngestExecution stores a complete execution's telemetry directly as
+// a flushed segment, bypassing the WAL: the segment-level tests build
+// their fixtures with it.
+func (s *Store) IngestExecution(job, label string, ns *telemetry.NodeSet) error {
+	if job == "" {
+		return errors.New("tsdb: empty job ID")
+	}
+	nodes := ns.Nodes()
+	if len(nodes) == 0 {
+		return errors.New("tsdb: execution has no telemetry")
+	}
+	jm := newJobMem(job, nodes[len(nodes)-1]+1)
+	for _, node := range nodes {
+		for _, metric := range ns.Metrics() {
+			series := ns.Get(node, metric)
+			if series == nil {
+				continue
+			}
+			n := series.Len()
+			vals := make([]float64, n)
+			copy(vals, series.ValuesView())
+			offs := make([]time.Duration, n)
+			grid := true
+			for i := 0; i < n; i++ {
+				offs[i] = series.OffsetAt(i)
+				if offs[i] != time.Duration(i)*telemetry.DefaultPeriod {
+					grid = false
+				}
+			}
+			ms := jm.seriesFor(metric, node)
+			if grid {
+				offs = nil
+			}
+			ms.offs, ms.vals, ms.unsorted = offs, vals, !series.Sorted()
+			jm.samples += int64(n)
+			if d := series.Duration(); d > jm.lastOff {
+				jm.lastOff = d
+			}
+		}
+	}
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return ErrClosed
+	}
+	if err := s.unhealthyLocked(); err != nil {
+		s.mu.Unlock()
+		return err
+	}
+	jm.finished, jm.seq, jm.label = true, s.nextSeq, label
+	s.nextSeq++
+	s.pending = append(s.pending, jm)
+	s.pendBytes += jm.bytes()
+	s.mu.Unlock()
+	return s.Flush()
 }

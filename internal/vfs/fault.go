@@ -70,6 +70,8 @@ type activeRule struct {
 // Fault wraps an FS with a seeded, deterministic fault plan. All
 // methods are safe for concurrent use; rule matching is serialized, so
 // a plan fires identically for a deterministic operation sequence.
+//
+//efd:keep fault-injection harness: the tsdb, monitor and server chaos and fault tests drive it
 type Fault struct {
 	inner FS
 
@@ -87,6 +89,8 @@ type Fault struct {
 // NewFault wraps inner with an empty fault plan. seed drives every
 // random choice (torn-write lengths), so a failing test reproduces
 // from its logged seed.
+//
+//efd:keep fault-injection harness: the tsdb, monitor and server chaos and fault tests drive it
 func NewFault(inner FS, seed int64) *Fault {
 	return &Fault{inner: inner, rng: rand.New(rand.NewSource(seed))}
 }
@@ -142,18 +146,11 @@ func (f *Fault) Fired() int64 {
 }
 
 // SetFree overrides what Free reports, so a test can simulate a
-// filling disk without filling one. ClearFree restores passthrough.
+// filling disk without filling one. Reset restores passthrough.
 func (f *Fault) SetFree(n uint64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.freeSet, f.free = true, n
-}
-
-// ClearFree restores Free to the inner filesystem's answer.
-func (f *Fault) ClearFree() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.freeSet = false
 }
 
 // Reset heals the filesystem: the fault plan, any crash, and any
