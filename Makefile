@@ -62,14 +62,19 @@
 #                    internal/analysis/testdata/api after an intended
 #                    API change (apilock fails make lint until the
 #                    new surface is committed)
+#   make loc       - non-test Go line counts of the packages changed
+#                    since BASE (default HEAD; `make loc BASE=<rev>`),
+#                    working tree against BASE, with deltas and the
+#                    module total; not part of check
 
 GO ?= go
 REV := $(shell git rev-parse --short HEAD 2>/dev/null || echo worktree)
 FUZZTIME ?= 10s
 CHAOSTIME ?= 2s
 FLAKERUNS ?= 20
+BASE ?= HEAD
 
-.PHONY: check test test-race vet lint api-golden fmt-check bench bench-compare fuzz-short chaos-short obs-golden flake-short
+.PHONY: check test test-race vet lint api-golden fmt-check bench bench-compare fuzz-short chaos-short obs-golden flake-short loc
 
 check: test-race vet lint fmt-check chaos-short obs-golden flake-short
 
@@ -130,3 +135,6 @@ bench:
 
 bench-compare:
 	./scripts/bench_compare.sh
+
+loc:
+	./scripts/loc.sh $(BASE)

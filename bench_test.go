@@ -817,8 +817,8 @@ func tsdbBenchExecution(b *testing.B, st *tsdb.Store, job string, series, n int)
 
 // BenchmarkTSDBSegmentFlush measures flushing one finished execution
 // (4 series × 4096 samples) into an immutable segment: columnar
-// write, per-block CRCs, histogram sketches, footer, mmap open, WAL
-// compaction. Ingesting the execution is outside the timer.
+// write, per-block CRCs, footer, mmap open, WAL compaction. Ingesting
+// the execution is outside the timer.
 func BenchmarkTSDBSegmentFlush(b *testing.B) {
 	st := tsdbBenchStore(b)
 	b.ReportAllocs()

@@ -143,17 +143,24 @@ func (e *Engine) Health() HealthInfo {
 		}
 		e.healthMu.Unlock()
 	}
-	// The disk section appears once disk state is interesting — a
-	// configured watermark or read-only mode — so default health
-	// bodies stay stable (and byte-reproducible) across machines.
-	if st := e.store.Load(); st != nil && (e.storeOpts.DiskLowBytes > 0 || mode == storeModeReadonly) {
-		d := &DiskHealth{FreeBytes: -1, LowWatermarkBytes: e.storeOpts.DiskLowBytes, ReadOnly: mode == storeModeReadonly}
-		if free, ok := st.DiskFree(); ok {
-			d.FreeBytes = int64(min(free, uint64(math.MaxInt64)))
-		}
-		out.Disk = d
-	}
+	out.Disk = e.diskHealth(e.store.Load(), mode)
 	return out
+}
+
+// diskHealth builds the disk section of /v1/health and the metrics
+// store section, or nil. The section appears once disk state is
+// interesting — a store with a configured watermark or in read-only
+// mode — so default bodies stay stable (and byte-reproducible) across
+// machines.
+func (e *Engine) diskHealth(st *tsdb.Store, mode int32) *DiskHealth {
+	if st == nil || (e.storeOpts.DiskLowBytes <= 0 && mode != storeModeReadonly) {
+		return nil
+	}
+	d := &DiskHealth{FreeBytes: -1, LowWatermarkBytes: e.storeOpts.DiskLowBytes, ReadOnly: mode == storeModeReadonly}
+	if free, ok := st.DiskFree(); ok {
+		d.FreeBytes = int64(min(free, uint64(math.MaxInt64)))
+	}
+	return d
 }
 
 // healthStatus is the one-word form for Stats.

@@ -188,6 +188,76 @@ func TestStorageBackedLifecycle(t *testing.T) {
 	_ = st
 }
 
+// TestSeriesDumpOffGridOffsets pins the series dump for a job whose
+// samples leave the 1 Hz grid: offsets_s reports every sample's offset
+// in seconds — from the memtable while live, and from the stored
+// execution both before and after it is flushed into a segment —
+// while the job's grid series still omits the field.
+func TestSeriesDumpOffGridOffsets(t *testing.T) {
+	_, ts, st := storageFixture(t, t.TempDir())
+	base := ts.URL
+	if code := doJSON(t, "POST", base+"/v1/jobs", map[string]any{"job_id": "irr", "nodes": 2}, nil); code != http.StatusCreated {
+		t.Fatalf("register: %d", code)
+	}
+	// The last offset passes the fingerprint window, so the job can be
+	// labelled.
+	offGrid := []float64{0, 0.5, 1.5, 2.25, 4, 120.5}
+	var samples []map[string]any
+	for i, off := range offGrid {
+		samples = append(samples,
+			map[string]any{"metric": apps.HeadlineMetric, "node": 0, "offset_s": off, "value": 6000 + float64(i)},
+			map[string]any{"metric": apps.HeadlineMetric, "node": 1, "offset_s": float64(i), "value": 6010 + float64(i)})
+	}
+	if code := doJSON(t, "POST", base+"/v1/samples", map[string]any{"job_id": "irr", "samples": samples}, nil); code != http.StatusOK {
+		t.Fatalf("samples: %d", code)
+	}
+	check := func(wantSource string) {
+		t.Helper()
+		var sr struct {
+			Source string `json:"source"`
+			Series []struct {
+				Node     int       `json:"node"`
+				Count    int       `json:"count"`
+				OffsetsS []float64 `json:"offsets_s"`
+				Values   []float64 `json:"values"`
+			} `json:"series"`
+		}
+		if code := doJSON(t, "GET", base+"/v1/jobs/irr/series", nil, &sr); code != http.StatusOK {
+			t.Fatalf("series: %d", code)
+		}
+		if sr.Source != wantSource || len(sr.Series) != 2 {
+			t.Fatalf("series response: source %q (want %q), %d series", sr.Source, wantSource, len(sr.Series))
+		}
+		for _, s := range sr.Series {
+			if s.Count != len(offGrid) || len(s.Values) != len(offGrid) {
+				t.Fatalf("%s node %d: count %d, %d values, want %d", wantSource, s.Node, s.Count, len(s.Values), len(offGrid))
+			}
+			switch s.Node {
+			case 0:
+				if fmt.Sprint(s.OffsetsS) != fmt.Sprint(offGrid) {
+					t.Errorf("%s off-grid node: offsets_s %v, want %v", wantSource, s.OffsetsS, offGrid)
+				}
+			case 1:
+				if s.OffsetsS != nil {
+					t.Errorf("%s grid node: offsets_s %v, want omitted", wantSource, s.OffsetsS)
+				}
+			}
+		}
+	}
+	check("live")
+	if code := doJSON(t, "POST", base+"/v1/jobs/irr/label", map[string]string{"app": "ft", "input": "X"}, nil); code != http.StatusOK {
+		t.Fatalf("label: %d", code)
+	}
+	check("stored")
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Stats().Segments; got != 1 {
+		t.Fatalf("segments after flush: %d, want 1", got)
+	}
+	check("stored")
+}
+
 // TestStorageRestartRecovery restarts the server stack over the same
 // data dir and requires recognition state identical to an
 // uninterrupted in-memory server fed the same samples.

@@ -16,17 +16,19 @@
 //
 // # The sealed lifecycle
 //
-// A Series is mutable during ingest (Append, Sort) and can answer
-// window queries at any time by scanning the window. Calling Seal
-// freezes the current contents and builds a per-series prefix sum of
-// the values (~106-bit double-doubles), after which WindowMean answers
-// any window in O(1)/O(log n) regardless of window length — probing
-// many windows over one series, as Summarize and metric sweeps do,
-// amortizes to a single pass. Sealing costs one pass and 16 bytes per
-// sample; mutating the series again simply drops the seal. Sealed and
-// unsealed answers agree to the last bit except in astronomically
-// unlikely half-ulp ties (both paths round the same correctly-rounded
-// window sums).
+// A Series is built by NewSeriesFromColumns or grows during ingest
+// (Append per sample, AppendRun per columnar run, Sort after
+// out-of-order arrivals), and can answer window queries at any time by
+// scanning the window. Calling Seal freezes the current contents and
+// builds a per-series prefix sum of the values (~106-bit
+// double-doubles), after which WindowMean answers any window in
+// O(1)/O(log n) regardless of window length — probing many windows
+// over one series, as Summarize and metric sweeps do, amortizes to a
+// single pass. Sealing costs one pass and 16 bytes per sample;
+// mutating the series again simply drops the seal. Sealed and unsealed
+// answers agree to the last bit except in astronomically unlikely
+// half-ulp ties (both paths round the same correctly-rounded window
+// sums).
 package telemetry
 
 import (
@@ -110,14 +112,7 @@ func NewSeriesFromColumns(metric string, node int, offs []time.Duration, vals []
 	if len(offs) != len(vals) {
 		panic("telemetry: NewSeriesFromColumns column lengths differ")
 	}
-	grid := true
-	for i, off := range offs {
-		if off != time.Duration(i)*DefaultPeriod {
-			grid = false
-			break
-		}
-	}
-	if grid {
+	if onGrid(offs, 0) {
 		return s
 	}
 	s.offs = make([]time.Duration, len(offs))
@@ -137,26 +132,65 @@ func NewSeriesFromColumns(metric string, node int, offs []time.Duration, vals []
 // and flagged; windowing fails with ErrUnsortedSeries until Sort runs.
 // Appending to a sealed series drops the seal.
 func (s *Series) Append(offset time.Duration, value float64) {
-	s.dropSeals()
-	n := len(s.vals)
-	if s.offs == nil {
-		if offset == time.Duration(n)*DefaultPeriod {
-			s.vals = append(s.vals, value)
-			return
-		}
-		s.materializeOffsets()
-	}
-	if n > 0 && offset < s.offs[n-1] {
-		s.unsorted = true
-	}
-	s.offs = append(s.offs, offset)
-	s.vals = append(s.vals, value)
+	offs, vals := [1]time.Duration{offset}, [1]float64{value}
+	s.AppendRun(offs[:], vals[:])
 }
 
-// materializeOffsets converts the implicit grid into an explicit offset
-// column, in preparation for an off-grid append.
-func (s *Series) materializeOffsets() {
-	offs := make([]time.Duration, len(s.vals), cap(s.vals)+1)
+// AppendRun is the bulk form of Append: it adds the samples of the
+// parallel columns offs and vals, copying both, with Append's exact
+// semantics — a run that continues the implicit grid appends only its
+// values, the first off-grid run materializes the offset column, and
+// any offset below its predecessor flags the series unsorted.
+func (s *Series) AppendRun(offs []time.Duration, vals []float64) {
+	if len(offs) != len(vals) {
+		panic("telemetry: AppendRun column lengths differ")
+	}
+	s.dropSeals()
+	n := len(s.vals)
+	// Each column grows at most once per run, up front; the element-wise
+	// appends then store only its length, never its data pointer. A
+	// variadic append stores the pointer, a GC write barrier, on every
+	// call, which made the one-sample runs of Append about twice as
+	// slow.
+	if len(vals) > cap(s.vals)-n {
+		s.vals = slices.Grow(s.vals, len(vals))
+	}
+	for _, v := range vals {
+		s.vals = append(s.vals, v)
+	}
+	if s.offs == nil {
+		if onGrid(offs, n) {
+			return
+		}
+		s.materializeOffsets(n)
+	} else if len(offs) > cap(s.offs)-n {
+		s.offs = slices.Grow(s.offs, len(offs))
+	}
+	for _, off := range offs {
+		if k := len(s.offs); k > 0 && off < s.offs[k-1] {
+			s.unsorted = true
+		}
+		s.offs = append(s.offs, off)
+	}
+}
+
+// onGrid reports whether offs sit exactly on the implicit 1 Hz grid
+// when the first of them is sample number base: sample i at
+// i*DefaultPeriod. It is the one definition of the grid rule.
+func onGrid(offs []time.Duration, base int) bool {
+	for k, off := range offs {
+		if off != time.Duration(base+k)*DefaultPeriod {
+			return false
+		}
+	}
+	return true
+}
+
+// materializeOffsets converts the implicit grid of the first n samples
+// into an explicit offset column, in preparation for an off-grid
+// append.
+func (s *Series) materializeOffsets(n int) {
+	offs := make([]time.Duration, n, cap(s.vals))
 	for i := range offs {
 		offs[i] = time.Duration(i) * DefaultPeriod
 	}
@@ -192,12 +226,9 @@ func compareSampleOffsets(a, b Sample) int { return cmp.Compare(a.Offset, b.Offs
 // compactGrid drops the explicit offset column when every offset sits
 // exactly on the 1 Hz grid.
 func (s *Series) compactGrid() {
-	for i, off := range s.offs {
-		if off != time.Duration(i)*DefaultPeriod {
-			return
-		}
+	if onGrid(s.offs, 0) {
+		s.offs = nil
 	}
-	s.offs = nil
 }
 
 // Sorted reports whether every Append so far arrived in offset order
@@ -259,6 +290,23 @@ func (s *Series) Duration() time.Duration {
 // caller must treat it as read-only and must not hold it across
 // mutations of the series.
 func (s *Series) ValuesView() []float64 { return s.vals }
+
+// OffsetsView returns the offset column itself, without copying, or
+// nil while the series sits on the implicit 1 Hz grid. The same
+// read-only rules as ValuesView apply.
+func (s *Series) OffsetsView() []time.Duration { return s.offs }
+
+// AppendOffsets appends the offset of every sample to dst and returns
+// the extended slice, synthesizing the implicit grid's offsets.
+func (s *Series) AppendOffsets(dst []time.Duration) []time.Duration {
+	if s.offs != nil {
+		return append(dst, s.offs...)
+	}
+	for i := range s.vals {
+		dst = append(dst, time.Duration(i)*DefaultPeriod)
+	}
+	return dst
+}
 
 // Window is a half-open time interval [Start, End) measured from the
 // beginning of an execution. The paper's fingerprint interval is

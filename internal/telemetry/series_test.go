@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -36,6 +37,96 @@ func TestSeriesBasics(t *testing.T) {
 	if empty.Duration() != 0 || empty.Len() != 0 {
 		t.Error("empty series should report zero length and duration")
 	}
+}
+
+// TestAppendRunMatchesAppend: a columnar run leaves the series in
+// exactly the state its samples appended one by one would, and both
+// match the model of the format — no offset column while every sample
+// i sits at i*DefaultPeriod, unsorted once any offset falls below its
+// predecessor — across grid continuations, gaps, off-grid jitter and
+// out-of-order runs.
+func TestAppendRunMatchesAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 500; trial++ {
+		bulk, single := NewSeries("m", 0, 0), NewSeries("m", 0, 0)
+		var all []Sample
+		for r := rng.Intn(5); r >= 0; r-- {
+			n := rng.Intn(6)
+			offs, vals := make([]time.Duration, n), make([]float64, n)
+			next := bulk.Len()
+			switch rng.Intn(3) {
+			case 1: // a gap
+				next += rng.Intn(3)
+			case 2: // out of order
+				next -= rng.Intn(next + 1)
+			}
+			for k := range offs {
+				offs[k] = time.Duration(next+k) * DefaultPeriod
+				if rng.Intn(8) == 0 {
+					offs[k] += time.Millisecond
+				}
+				vals[k] = rng.Float64()
+				all = append(all, Sample{offs[k], vals[k]})
+			}
+			bulk.AppendRun(offs, vals)
+			for k := range offs {
+				single.Append(offs[k], vals[k])
+			}
+		}
+		grid, sorted := true, true
+		for i, smp := range all {
+			grid = grid && smp.Offset == time.Duration(i)*DefaultPeriod
+			sorted = sorted && (i == 0 || smp.Offset >= all[i-1].Offset)
+		}
+		for _, s := range []*Series{bulk, single} {
+			if (s.OffsetsView() == nil) != grid || s.Sorted() != sorted || s.Len() != len(all) {
+				t.Fatalf("trial %d: grid %v, sorted %v, len %d; model says %v, %v, %d",
+					trial, s.OffsetsView() == nil, s.Sorted(), s.Len(), grid, sorted, len(all))
+			}
+			for i, smp := range all {
+				if s.At(i) != smp {
+					t.Fatalf("trial %d sample %d: %v, want %v", trial, i, s.At(i), smp)
+				}
+			}
+		}
+	}
+}
+
+// TestAppendRunGridAndOffsets pins the column views: grid runs store no
+// offset column, the first off-grid run materializes it, out-of-order
+// runs flag the series until Sort, and a Sort that lands on the grid
+// drops the column again. AppendOffsets always yields every offset.
+func TestAppendRunGridAndOffsets(t *testing.T) {
+	s := NewSeries("m", 0, 0)
+	s.AppendRun([]time.Duration{sec(2), sec(3)}, []float64{3, 4})
+	if s.OffsetsView() == nil || !s.Sorted() {
+		t.Fatalf("off-grid first run: offsets %v, sorted %v", s.OffsetsView(), s.Sorted())
+	}
+	s.AppendRun([]time.Duration{sec(0), sec(1)}, []float64{1, 2})
+	if s.Sorted() {
+		t.Fatal("out-of-order run left the series sorted")
+	}
+	want := []time.Duration{sec(2), sec(3), sec(0), sec(1)}
+	if got := s.AppendOffsets([]time.Duration{-1}); len(got) != 5 || got[0] != -1 || fmt.Sprint(got[1:]) != fmt.Sprint(want) {
+		t.Fatalf("AppendOffsets = %v, want [-1s %v]", got, want)
+	}
+	s.Sort()
+	if s.OffsetsView() != nil || !s.Sorted() || fmt.Sprint(s.ValuesView()) != "[1 2 3 4]" {
+		t.Fatalf("after Sort: offsets %v, sorted %v, values %v", s.OffsetsView(), s.Sorted(), s.ValuesView())
+	}
+	if got := s.AppendOffsets(nil); fmt.Sprint(got) != fmt.Sprint([]time.Duration{0, sec(1), sec(2), sec(3)}) {
+		t.Fatalf("grid AppendOffsets = %v", got)
+	}
+	s.AppendRun([]time.Duration{sec(4), sec(5)}, []float64{5, 6})
+	if s.OffsetsView() != nil || s.Len() != 6 {
+		t.Fatalf("grid continuation materialized offsets: %v", s.OffsetsView())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("AppendRun with ragged columns did not panic")
+		}
+	}()
+	s.AppendRun([]time.Duration{sec(6)}, nil)
 }
 
 func TestSeriesSort(t *testing.T) {

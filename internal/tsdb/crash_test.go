@@ -14,6 +14,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // buildStore creates a store with one committed live job of n samples
@@ -69,15 +71,15 @@ func TestCrashMidWALAppendTruncatedTail(t *testing.T) {
 	// Locate the frame boundaries and cut into the middle of the last
 	// frame's payload.
 	var bounds []int64
-	replayWAL(data, func(walRecord) {})
+	replayWAL(data, func(wire.Record) {})
 	off := int64(0)
 	for off < int64(len(data)) {
 		bounds = append(bounds, off)
 		n := int64(uint32(data[off]) | uint32(data[off+1])<<8 | uint32(data[off+2])<<16 | uint32(data[off+3])<<24)
-		off += frameHeaderLen + n
+		off += wire.FrameHeaderLen + n
 	}
 	last := bounds[len(bounds)-1]
-	cut := last + frameHeaderLen + 3 // header plus a few payload bytes
+	cut := last + wire.FrameHeaderLen + 3 // header plus a few payload bytes
 	if err := os.Truncate(walPath, cut); err != nil {
 		t.Fatal(err)
 	}

@@ -11,17 +11,16 @@
 // (metric, node) batches straight off the server's zero-dictionary-lock
 // ingest path, and fsyncs are batched with group commit — one fsync
 // acknowledges however many appends preceded it. The same runs
-// accumulate in a memtable holding the SoA layout of telemetry.Series,
-// implicit-1 Hz-grid fast path included.
+// accumulate in a memtable of telemetry.Series, one per (metric, node),
+// through Series.AppendRun — implicit-1 Hz-grid fast path included.
 //
 // When a job finishes (is labelled) it becomes a stored execution:
 // still served from the memtable at first, then flushed — together
 // with other pending executions — into an immutable columnar segment
 // file (segment.go) whose value and offset columns mirror
-// telemetry.Series exactly, 8-byte aligned, with per-block CRC-32Cs, a
-// JSON footer indexed by job/metric/node, and a per-series histogram
-// sketch. After a flush the WAL is compacted down to the still-live
-// jobs, bounding replay work.
+// telemetry.Series exactly, 8-byte aligned, with per-block CRC-32Cs
+// and a JSON footer indexed by job/metric/node. After a flush the WAL
+// is compacted down to the still-live jobs, bounding replay work.
 //
 // Reads memory-map segments and hand the mapped value columns to
 // telemetry.NewSeriesFromColumns without copying a byte; Seal then

@@ -108,6 +108,11 @@ func FuzzSegmentOpen(f *testing.F) {
 	data := validSegmentBytes(f)
 	f.Add(data)
 	f.Add(data[:len(data)-3])
+	legacy, err := os.ReadFile(legacySegment)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, segName(0))

@@ -9,8 +9,8 @@ package tsdb
 //	per series: value column  (count × 8B little-endian float64 bits)
 //	            offset column (count × 8B little-endian int64 ns),
 //	            omitted entirely for implicit-1 Hz-grid series
-//	[JSON footer: executions → series index with offsets, per-block
-//	 CRC-32Cs, and a per-series histogram sketch]
+//	[JSON footer: executions → series index with offsets and per-block
+//	 CRC-32Cs]
 //	[8B footer offset][4B footer length][4B footer CRC][8B magic "EFDTSDBF"]
 //
 // The header is 8 bytes and every column a multiple of 8, so every
@@ -36,6 +36,7 @@ import (
 
 	"repro/internal/telemetry"
 	"repro/internal/vfs"
+	"repro/internal/wire"
 )
 
 const (
@@ -56,10 +57,6 @@ type segSeries struct {
 	// OffOff is -1 for implicit-grid series (no offset column stored).
 	OffOff int64  `json:"off_off"`
 	OffCRC uint32 `json:"off_crc"`
-	// Hist is the sealed whole-series histogram sketch; its edges let
-	// readers re-seal a mapped series bit-identically to the series
-	// that was flushed.
-	Hist telemetry.HistSketch `json:"hist"`
 }
 
 // segExec indexes one stored execution.
@@ -86,8 +83,8 @@ type segment struct {
 func segName(n int) string { return fmt.Sprintf("%s%08d%s", segPrefix, n, segSuffix) }
 
 // writeSegment renders execs into path atomically (temp file + fsync +
-// rename + directory fsync). Histogram sketches use bins bins.
-func writeSegment(fs vfs.FS, dir, name string, execs []*jobMem, bins int) (err error) {
+// rename + directory fsync).
+func writeSegment(fs vfs.FS, dir, name string, execs []*jobMem) (err error) {
 	tmp, err := fs.CreateTemp(dir, segPrefix+"*.tmp")
 	if err != nil {
 		return err
@@ -107,28 +104,24 @@ func writeSegment(fs vfs.FS, dir, name string, execs []*jobMem, bins int) (err e
 	for _, jm := range execs {
 		se := segExec{Job: jm.id, Label: jm.label, Nodes: jm.nodes, Seq: jm.seq, Samples: jm.samples}
 		for _, ms := range jm.series {
-			ss := segSeries{
-				Metric: ms.metric, Node: ms.node, Count: len(ms.vals),
-				OffOff: -1,
-				Hist:   telemetry.SketchValues(ms.vals, bins),
-			}
+			ss := segSeries{Metric: ms.Metric, Node: ms.Node, Count: ms.Len(), OffOff: -1}
 			raw = raw[:0]
-			for _, v := range ms.vals {
+			for _, v := range ms.ValuesView() {
 				raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(v))
 			}
 			ss.ValOff = off
-			ss.ValCRC = crc32.Checksum(raw, castagnoli)
+			ss.ValCRC = crc32.Checksum(raw, wire.Castagnoli)
 			if _, err = tmp.Write(raw); err != nil {
 				return err
 			}
 			off += int64(len(raw))
-			if ms.offs != nil {
+			if offs := ms.OffsetsView(); offs != nil {
 				raw = raw[:0]
-				for _, o := range ms.offs {
+				for _, o := range offs {
 					raw = binary.LittleEndian.AppendUint64(raw, uint64(o))
 				}
 				ss.OffOff = off
-				ss.OffCRC = crc32.Checksum(raw, castagnoli)
+				ss.OffCRC = crc32.Checksum(raw, wire.Castagnoli)
 				if _, err = tmp.Write(raw); err != nil {
 					return err
 				}
@@ -148,7 +141,7 @@ func writeSegment(fs vfs.FS, dir, name string, execs []*jobMem, bins int) (err e
 	var trail [segTrailLen]byte
 	binary.LittleEndian.PutUint64(trail[0:], uint64(off))
 	binary.LittleEndian.PutUint32(trail[8:], uint32(len(foot)))
-	binary.LittleEndian.PutUint32(trail[12:], crc32.Checksum(foot, castagnoli))
+	binary.LittleEndian.PutUint32(trail[12:], crc32.Checksum(foot, wire.Castagnoli))
 	copy(trail[16:], segMagicFoot)
 	if _, err = tmp.Write(trail[:]); err != nil {
 		return err
@@ -208,7 +201,7 @@ func (g *segment) validate() error {
 		return fmt.Errorf("tsdb: segment %s footer bounds out of range", g.path)
 	}
 	foot := data[footOff : footOff+footLen]
-	if crc32.Checksum(foot, castagnoli) != footCRC {
+	if crc32.Checksum(foot, wire.Castagnoli) != footCRC {
 		return fmt.Errorf("tsdb: segment %s footer CRC mismatch", g.path)
 	}
 	if err := json.Unmarshal(foot, &g.footer); err != nil {
@@ -243,7 +236,7 @@ func (g *segment) checkBlock(off int64, count int, crc uint32, footOff int64) er
 	if end < off || end > footOff {
 		return fmt.Errorf("block overruns footer (off %d, count %d)", off, count)
 	}
-	if got := crc32.Checksum(g.m.Data[off:end], castagnoli); got != crc {
+	if got := crc32.Checksum(g.m.Data[off:end], wire.Castagnoli); got != crc {
 		return fmt.Errorf("CRC mismatch (got %08x, want %08x)", got, crc)
 	}
 	return nil

@@ -1,7 +1,9 @@
 package tsdb
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -262,6 +264,175 @@ func TestOffGridOffsetsRoundTrip(t *testing.T) {
 	for i := range wantOffs {
 		if s.OffsetAt(i) != wantOffs[i] || s.ValueAt(i) != wantVals[i] {
 			t.Errorf("sample %d = (%v, %v), want (%v, %v)", i, s.OffsetAt(i), s.ValueAt(i), wantOffs[i], wantVals[i])
+		}
+	}
+}
+
+// TestOutOfOrderRunsRecompactToGrid covers the flush-time
+// re-compaction: runs that arrive out of order but whose sorted
+// offsets land on the 1 Hz grid keep their arrival order while the job
+// is live (the recovery replay feeds them to a stream in that order),
+// and flush into a segment with no offset column that reads back
+// bit-identical to the grid series.
+func TestOutOfOrderRunsRecompactToGrid(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Register("ooo", 1); err != nil {
+		t.Fatal(err)
+	}
+	sec := func(i int) time.Duration { return time.Duration(i) * time.Second }
+	if err := st.Append("ooo", "cpu", 0, []time.Duration{sec(2), sec(3)}, []float64{30.25, 40.5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append("ooo", "cpu", 0, []time.Duration{sec(0), sec(1)}, []float64{10.125, 1.0 / 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	arrivalOffs := []time.Duration{sec(2), sec(3), sec(0), sec(1)}
+	arrivalVals := []float64{30.25, 40.5, 10.125, 1.0 / 3}
+
+	ns, live, err := st.Series("ooo")
+	if err != nil || !live {
+		t.Fatalf("Series: live %v, err %v", live, err)
+	}
+	s := ns.Get(0, "cpu")
+	if s == nil || s.Len() != 4 || s.Sorted() {
+		t.Fatalf("live series: %+v", s)
+	}
+	for i := range arrivalOffs {
+		if s.OffsetAt(i) != arrivalOffs[i] || s.ValueAt(i) != arrivalVals[i] {
+			t.Errorf("live sample %d = (%v, %v), want arrival order (%v, %v)", i, s.OffsetAt(i), s.ValueAt(i), arrivalOffs[i], arrivalVals[i])
+		}
+	}
+
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	jobs := st.Live()
+	if len(jobs) != 1 || len(jobs[0].Series) != 1 {
+		t.Fatalf("Live after reopen: %+v", jobs)
+	}
+	run := jobs[0].Series[0]
+	if len(run.Offsets) != len(arrivalOffs) || len(run.Values) != len(arrivalVals) {
+		t.Fatalf("replayed columns: %d offsets, %d values, want %d", len(run.Offsets), len(run.Values), len(arrivalOffs))
+	}
+	for i := range arrivalOffs {
+		if run.Offsets[i] != arrivalOffs[i] || run.Values[i] != arrivalVals[i] {
+			t.Errorf("replayed sample %d = (%v, %v), want arrival order (%v, %v)", i, run.Offsets[i], run.Values[i], arrivalOffs[i], arrivalVals[i])
+		}
+	}
+
+	if err := st.Finish("ooo", ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.segs) != 1 {
+		t.Fatalf("segments: %d, want 1", len(st.segs))
+	}
+	if ss := st.segs[0].footer.Execs[0].Series[0]; ss.OffOff != -1 {
+		t.Errorf("segment stored an offset column (OffOff %d) for a series sorted onto the grid", ss.OffOff)
+	}
+	stored, err := st.ExecutionSeries("ooo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := stored.Get(0, "cpu")
+	want := telemetry.NewSeriesFromColumns("cpu", 0, nil, []float64{10.125, 1.0 / 3, 30.25, 40.5})
+	want.Seal()
+	if got == nil || got.Len() != want.Len() || !got.Sorted() {
+		t.Fatalf("stored series: %+v", got)
+	}
+	for i := 0; i < want.Len(); i++ {
+		if got.OffsetAt(i) != want.OffsetAt(i) || math.Float64bits(got.ValueAt(i)) != math.Float64bits(want.ValueAt(i)) {
+			t.Errorf("stored sample %d = (%v, %v), want (%v, %v)", i, got.OffsetAt(i), got.ValueAt(i), want.OffsetAt(i), want.ValueAt(i))
+		}
+	}
+	w := telemetry.Window{Start: 0, End: sec(4)}
+	gm, gerr := got.WindowMean(w)
+	wm, werr := want.WindowMean(w)
+	if gerr != nil || werr != nil || math.Float64bits(gm) != math.Float64bits(wm) {
+		t.Errorf("stored WindowMean = %v (%v), want %v (%v)", gm, gerr, wm, werr)
+	}
+}
+
+// legacySegment is a segment written by the writer that still put a
+// per-series histogram sketch ("hist") into the footer, from
+// legacyFixtureInput under job "legacy", label "ft".
+const legacySegment = "testdata/legacy-hist.seg"
+
+// legacyFixtureInput is the execution legacySegment was written from:
+// one grid series and one off-grid series on two nodes.
+func legacyFixtureInput() *telemetry.NodeSet {
+	ns := telemetry.NewNodeSet()
+	grid := make([]float64, 8)
+	for i := range grid {
+		grid[i] = 100 + float64(i)/3
+	}
+	ns.Put(telemetry.NewSeriesFromColumns("cpu", 0, nil, grid))
+	offs := []time.Duration{0, 1500 * time.Millisecond, 2500 * time.Millisecond, 4 * time.Second, 7 * time.Second}
+	vals := []float64{0.1, -2.75, 1e-300, 6020.125, 1.0 / 7}
+	ns.Put(telemetry.NewSeriesFromColumns("cpu", 1, offs, vals))
+	return ns
+}
+
+// TestLegacySegmentOpens pins footer compatibility: a segment whose
+// footer carries the retired "hist" key opens without quarantine and
+// reads back bit-identical to the execution it was written from.
+func TestLegacySegmentOpens(t *testing.T) {
+	raw, err := os.ReadFile(legacySegment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(`"hist":`)) {
+		t.Fatal("fixture footer has no hist key; it no longer tests the legacy format")
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segName(0)), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if q := st.Stats().QuarantinedSegments; q != 0 {
+		t.Fatalf("legacy segment quarantined (%d)", q)
+	}
+	execs := st.Executions()
+	if len(execs) != 1 || execs[0].ID != "legacy" || execs[0].Label != "ft" || execs[0].Nodes != 2 || !execs[0].Stored {
+		t.Fatalf("executions: %+v", execs)
+	}
+	got, err := st.ExecutionSeries("legacy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := legacyFixtureInput()
+	if got.NumSeries() != want.NumSeries() {
+		t.Fatalf("%d series, want %d", got.NumSeries(), want.NumSeries())
+	}
+	for _, node := range want.Nodes() {
+		for _, metric := range want.Metrics() {
+			w, g := want.Get(node, metric), got.Get(node, metric)
+			if g == nil || g.Len() != w.Len() {
+				t.Fatalf("%s[%d]: got %+v, want %d samples", metric, node, g, w.Len())
+			}
+			for i := 0; i < w.Len(); i++ {
+				if g.OffsetAt(i) != w.OffsetAt(i) || math.Float64bits(g.ValueAt(i)) != math.Float64bits(w.ValueAt(i)) {
+					t.Errorf("%s[%d] sample %d = (%v, %v), want (%v, %v)", metric, node, i, g.OffsetAt(i), g.ValueAt(i), w.OffsetAt(i), w.ValueAt(i))
+				}
+			}
 		}
 	}
 }
@@ -553,29 +724,8 @@ func (s *Store) IngestExecution(job, label string, ns *telemetry.NodeSet) error 
 	jm := newJobMem(job, nodes[len(nodes)-1]+1)
 	for _, node := range nodes {
 		for _, metric := range ns.Metrics() {
-			series := ns.Get(node, metric)
-			if series == nil {
-				continue
-			}
-			n := series.Len()
-			vals := make([]float64, n)
-			copy(vals, series.ValuesView())
-			offs := make([]time.Duration, n)
-			grid := true
-			for i := 0; i < n; i++ {
-				offs[i] = series.OffsetAt(i)
-				if offs[i] != time.Duration(i)*telemetry.DefaultPeriod {
-					grid = false
-				}
-			}
-			ms := jm.seriesFor(metric, node)
-			if grid {
-				offs = nil
-			}
-			ms.offs, ms.vals, ms.unsorted = offs, vals, !series.Sorted()
-			jm.samples += int64(n)
-			if d := series.Duration(); d > jm.lastOff {
-				jm.lastOff = d
+			if series := ns.Get(node, metric); series != nil {
+				jm.appendRun(metric, node, series.AppendOffsets(nil), series.ValuesView())
 			}
 		}
 	}

@@ -26,22 +26,9 @@ import (
 )
 
 const (
-	walName        = "wal.log"
-	walQuarantine  = "wal.quarantine"
-	walMaxRecord   = wire.MaxRecord
-	frameHeaderLen = wire.FrameHeaderLen
+	walName       = "wal.log"
+	walQuarantine = "wal.quarantine"
 )
-
-// Record types (re-exported from the shared wire codec).
-const (
-	recRegister = wire.TypeRegister
-	recRun      = wire.TypeRun
-	recFinish   = wire.TypeFinish
-	recDrop     = wire.TypeDrop
-)
-
-// castagnoli is the CRC-32C table shared with the segment writer.
-var castagnoli = wire.Castagnoli
 
 // wal is the appender half; replay is a free function over raw bytes.
 type wal struct {
@@ -70,7 +57,7 @@ func openWAL(fs vfs.FS, path string) (*wal, error) {
 
 // append frames and buffers one payload. The payload is w.scratch.
 func (w *wal) append() error {
-	var hdr [frameHeaderLen]byte
+	var hdr [wire.FrameHeaderLen]byte
 	wire.PutFrameHeader(hdr[:], w.scratch)
 	if _, err := w.bw.Write(hdr[:]); err != nil {
 		return err
@@ -78,7 +65,7 @@ func (w *wal) append() error {
 	if _, err := w.bw.Write(w.scratch); err != nil {
 		return err
 	}
-	w.size += int64(frameHeaderLen + len(w.scratch))
+	w.size += int64(wire.FrameHeaderLen + len(w.scratch))
 	w.appendGen++
 	return nil
 }
@@ -107,17 +94,7 @@ func (w *wal) close() error {
 	return w.f.Close()
 }
 
-// --- record encoding (thin wrappers over internal/wire) ---------------
-
-// appendRunPayload encodes one run record's payload into b. It is a
-// free function over plain buffers so the ingest path can encode
-// outside the store mutex.
-func appendRunPayload(b []byte, job, metric string, node int, offs []time.Duration, vals []float64) []byte {
-	return wire.AppendRun(b, job, metric, node, offs, vals)
-}
-
-// appendFramed appends the CRC frame plus payload to dst.
-func appendFramed(dst, payload []byte) []byte { return wire.AppendFrame(dst, payload) }
+// --- record encoding into the scratch buffer --------------------------
 
 func (w *wal) encodeRegister(job string, nodes int) {
 	w.scratch = wire.AppendRegister(w.scratch[:0], job, nodes)
@@ -137,16 +114,13 @@ func (w *wal) encodeDrop(job string) {
 
 // --- record decoding --------------------------------------------------
 
-// walRecord is one decoded record; only the fields of its Type are set.
-type walRecord = wire.Record
-
 // replayWAL walks the log, invoking apply for every intact record, and
 // returns the byte length of the good prefix plus the number of
 // replayed records. Decoding stops at the first torn or corrupt frame
 // (a frame that passes CRC but does not decode is corruption beyond a
 // torn tail and stops replay equally); the caller quarantines and
 // truncates from there.
-func replayWAL(data []byte, apply func(walRecord)) (good int64, records int64, err error) {
+func replayWAL(data []byte, apply func(wire.Record)) (good int64, records int64, err error) {
 	return wire.WalkFrames(data, func(payload []byte) error {
 		rec, derr := wire.DecodeRecord(payload)
 		if derr != nil {
