@@ -111,6 +111,27 @@ func BenchmarkTable2DatasetGeneration(b *testing.B) {
 	}
 }
 
+// BenchmarkFigure2QuickGenerate generates the offline Figure 2 grid of
+// perfbench and `cmd/experiments -quick`: the full metric catalog on
+// all eleven applications, 10 repeats per (application, input) pair,
+// 370 executions. BenchmarkTable2DatasetGeneration covers only the
+// headline metric on three applications; this is the layer the
+// Figure 2 phase spends most of its CPU in.
+func BenchmarkFigure2QuickGenerate(b *testing.B) {
+	cfg := dataset.DefaultGenConfig()
+	cfg.Repeats = 10
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ds, err := dataset.Generate(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ds.Len() != 370 {
+			b.Fatalf("generated %d executions, want 370", ds.Len())
+		}
+	}
+}
+
 // --- Figure 1: the learn -> prune -> lookup pipeline ------------------
 
 func BenchmarkFigure1Pipeline(b *testing.B) {

@@ -5,9 +5,11 @@
 //
 // A model answers one question: what is the ideal (noise-free) value of
 // a given system metric on a given node at a given time into the
-// execution? The LDMS-style monitor samples these ideals through the
-// noise models of package noise to produce telemetry with the same
-// structure as the Taxonomist artifact the paper evaluates on.
+// execution? An Execution answers it in tabulated form, a per-node
+// level times a per-metric time profile (Level, Shape), and the
+// simulator samples these ideals through the noise kernel of package
+// noise to produce telemetry with the same structure as the Taxonomist
+// artifact the paper evaluates on.
 //
 // The levels are chosen to reproduce the qualitative facts the paper
 // reports rather than the Volta cluster's absolute numbers: the

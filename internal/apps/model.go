@@ -365,32 +365,51 @@ func (s Spec) Instantiate(in Input, numNodes int, rng *rand.Rand) (*Execution, e
 // Duration reports how long this execution runs.
 func (e *Execution) Duration() time.Duration { return e.duration }
 
-// Ideal returns the noise-free value of the metric with catalog index
-// metricIndex on the given node at offset t from execution start. The
-// monitoring layer perturbs this through the noise models.
-func (e *Execution) Ideal(metricIndex, node int, t time.Duration) float64 {
+// Level returns the noise-free steady level of the metric with
+// catalog index metricIndex on the given node: the modelled level
+// times this run's cross-execution draw.
+func (e *Execution) Level(metricIndex, node int) float64 { return e.levels[metricIndex][node] }
+
+// Shape tabulates the node-independent time profile of the metric with
+// catalog index metricIndex over len(ripple) samples taken every
+// period from offset 0. The noise-free value of sample i on a node is
+// then Level(metricIndex, node)·r[i]·g[i], multiplied left to right,
+// where r is the iteration ripple 1+amp·sin(2π·t/T+phase) (strong on
+// rates, faint on gauges) and g the adaptive-mesh staircase growth
+// that starts after 130 s. A factor that does not apply comes back
+// nil; otherwise r is ripple and g is growth, refilled. growth must be
+// as long as ripple.
+func (e *Execution) Shape(metricIndex int, period time.Duration, ripple, growth []float64) (r, g []float64) {
 	m := Metrics()[metricIndex]
-	v := e.levels[metricIndex][node]
 	if m.Kind == KindConstant {
-		return v
+		return nil, nil
 	}
-	// Iteration ripple: strong on rates, faint on gauges.
 	amp := 0.002
 	if m.Kind == KindRate {
 		amp = 0.04
 	}
 	amp *= e.Spec.rippleGain
-	period := e.Spec.ripplePeriod.Seconds()
-	if period > 0 {
-		v *= 1 + amp*math.Sin(2*math.Pi*t.Seconds()/period+e.phases[metricIndex])
+	if rp := e.Spec.ripplePeriod.Seconds(); rp > 0 {
+		phase := e.phases[metricIndex]
+		for i := range ripple {
+			t := time.Duration(i) * period
+			ripple[i] = 1 + amp*math.Sin(2*math.Pi*t.Seconds()/rp+phase)
+		}
+		r = ripple
 	}
-	// Staircase growth (adaptive mesh refinement) kicks in only after
-	// the fingerprint window so Table 4 levels stay put.
-	if e.growthAmp > 0 && m.Kind == KindGauge && t > 130*time.Second {
-		steps := math.Floor((t.Seconds() - 130) / 40)
-		v *= 1 + e.growthAmp*steps
+	// The staircase kicks in only after the fingerprint window so
+	// Table 4 levels stay put; before it the factor is exactly 1.
+	if e.growthAmp > 0 && m.Kind == KindGauge {
+		for i := range ripple {
+			growth[i] = 1
+			if t := time.Duration(i) * period; t > 130*time.Second {
+				steps := math.Floor((t.Seconds() - 130) / 40)
+				growth[i] = 1 + e.growthAmp*steps
+			}
+		}
+		g = growth[:len(ripple)]
 	}
-	return v
+	return r, g
 }
 
 // Label identifies an (application, input size) pair, e.g. {ft, X}. Its

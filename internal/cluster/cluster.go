@@ -4,14 +4,20 @@
 //
 // The simulator is the stand-in for the Volta cluster behind the
 // Taxonomist dataset. It owns the composition of ideal application
-// behaviour (package apps) with system perturbations (package noise) and
-// produces per-execution telemetry (package telemetry).
+// behaviour (package apps) with system perturbations (package noise)
+// in one table-driven sampling kernel, Sample: the time profiles of an
+// execution are tabulated once (the noise tables per execution, the
+// ripple and growth per metric), so each (metric, node) series costs
+// a level times those tables plus its random draws. Run collects the
+// series into per-execution telemetry (package telemetry); the dataset
+// generator summarizes them straight from the kernel's buffer.
 package cluster
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/apps"
@@ -84,6 +90,10 @@ func New(cfg Config) (*Simulator, error) {
 	return s, nil
 }
 
+// Config returns the simulator configuration, with the period
+// defaulted.
+func (s *Simulator) Config() Config { return s.cfg }
+
 // Run instantiates one execution of the application with the given
 // input and collects its telemetry. All randomness is drawn from rng.
 func (s *Simulator) Run(spec apps.Spec, in apps.Input, rng *rand.Rand) (*telemetry.NodeSet, *apps.Execution, error) {
@@ -91,42 +101,82 @@ func (s *Simulator) Run(spec apps.Spec, in apps.Input, rng *rand.Rand) (*telemet
 	if err != nil {
 		return nil, nil, err
 	}
-	ns := s.Collect(exec, rng)
-	return ns, exec, nil
+	return s.Collect(exec, rng), exec, nil
 }
 
 // Collect samples an already-instantiated execution through the noise
-// environment and returns its telemetry.
+// environment and returns its telemetry, each series a copy of the
+// kernel's buffer.
 func (s *Simulator) Collect(exec *apps.Execution, rng *rand.Rand) *telemetry.NodeSet {
 	ns := telemetry.NewNodeSet()
-	nSamples := int(exec.Duration()/s.cfg.Period) + 1
+	// Shared by every series; NewSeriesFromColumns drops it for the
+	// implicit 1 Hz grid and copies it otherwise.
+	var offs []time.Duration
+	var sp Sampler
+	s.Sample(exec, rng, &sp, func(metric string, node int, vals []float64) {
+		if offs == nil {
+			offs = make([]time.Duration, len(vals))
+			for i := range offs {
+				offs[i] = time.Duration(i) * s.cfg.Period
+			}
+		}
+		ns.Put(telemetry.NewSeriesFromColumns(metric, node, offs, slices.Clone(vals)))
+	})
+	return ns
+}
+
+// Sampler is the per-worker state of the sampling kernel: its tables
+// and its series buffer, reused from one execution to the next. The
+// zero value is ready to use; a Sampler must not be used concurrently.
+type Sampler struct {
+	noise  noise.Tables
+	ripple []float64
+	growth []float64
+	vals   []float64
+}
+
+// Sample draws the telemetry of an instantiated execution from rng:
+// one sample every period from offset 0 to the execution's end, for
+// every selected metric on every node. It hands each (metric, node)
+// series to emit in catalog order, nodes ascending. vals is sp's
+// buffer, valid only until emit returns; emit copies what it keeps.
+func (s *Simulator) Sample(exec *apps.Execution, rng *rand.Rand, sp *Sampler, emit func(metric string, node int, vals []float64)) {
+	n := int(exec.Duration()/s.cfg.Period) + 1
 	// The initialization transient's height varies run to run: some
 	// executions start more turbulently than others. This is the main
 	// reason early windows make poor fingerprints (interval ablation).
 	ampScale := 0.7 + 0.6*rng.Float64()
+	prof := s.cfg.Noise
+	prof.InitAmplitude *= ampScale
+	sp.noise.Tabulate(prof, s.cfg.Period, n)
+	sp.ripple = slices.Grow(sp.ripple[:0], n)[:n]
+	sp.growth = slices.Grow(sp.growth[:0], n)[:n]
+	sp.vals = slices.Grow(sp.vals[:0], n)[:n]
+	vals := sp.vals
 	mets := apps.Metrics()
 	for _, mi := range s.metricIndexes {
 		m := mets[mi]
-		prof := s.cfg.Noise
-		prof.Jitter += m.JitterRel
-		prof.InitAmplitude *= ampScale
-		if m.Kind == apps.KindConstant {
-			// Node properties are immune to application noise.
-			prof = noise.Profile{Jitter: prof.Jitter}
-		}
+		jitter := s.cfg.Noise.Jitter + m.JitterRel
+		ripple, growth := exec.Shape(mi, s.cfg.Period, sp.ripple, sp.growth)
 		for node := 0; node < exec.NumNodes; node++ {
-			chain := prof.NewChain()
-			series := telemetry.NewSeries(m.Name, node, nSamples)
-			for i := 0; i < nSamples; i++ {
-				t := time.Duration(i) * s.cfg.Period
-				v := chain.Perturb(rng, t, exec.Ideal(mi, node, t))
-				if v < 0 {
-					v = 0
+			level := exec.Level(mi, node)
+			for i := range vals {
+				v := level
+				if ripple != nil {
+					v *= ripple[i]
 				}
-				series.Append(t, v)
+				if growth != nil {
+					v *= growth[i]
+				}
+				vals[i] = v
 			}
-			ns.Put(series)
+			if m.Kind == apps.KindConstant {
+				// Node properties are immune to application noise.
+				noise.PerturbProperty(rng, jitter, vals)
+			} else {
+				sp.noise.Perturb(rng, jitter, vals)
+			}
+			emit(m.Name, node, vals)
 		}
 	}
-	return ns
 }

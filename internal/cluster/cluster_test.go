@@ -184,9 +184,6 @@ func TestConstantMetricUnperturbedByExecution(t *testing.T) {
 	}
 }
 
-// Config returns the simulator configuration.
-func (s *Simulator) Config() Config { return s.cfg }
-
 // MetricNames returns the names of the metrics this simulator collects,
 // in catalog order.
 func (s *Simulator) MetricNames() []string {

@@ -3,9 +3,12 @@
 // Table 2, with per-(metric, node) window means for the EFD and
 // full-execution summaries for the Taxonomist baseline.
 //
-// Telemetry is summarized at ingestion and the raw series discarded, so
-// a full Table 2 grid (1100+ executions × 50 metrics × 4 nodes) stays
-// within tens of megabytes.
+// Generate never materializes raw telemetry: the simulator's sampling
+// kernel hands each (metric, node) series over in a reused buffer and
+// it is summarized in place, so a full Table 2 grid (1100+ executions
+// × 50 metrics × 4 nodes) stays within tens of megabytes and allocates
+// little beyond the summaries it keeps. Summarize applies the same
+// per-series summarizer to telemetry collected elsewhere.
 package dataset
 
 import (
@@ -127,25 +130,18 @@ func DefaultWindows() []telemetry.Window {
 }
 
 // Summarize converts raw telemetry into an Execution record with the
-// given label and windows. It seals the telemetry first (building the
-// per-series prefix sums), so extracting any number of window means
-// costs one pass over each series plus O(1) per window, instead of one
-// scan per (window, series) pair.
+// given label and windows. Series flagged unsorted are sorted in
+// place first. It runs the summarizer Generate uses, so an execution
+// summarized from Simulator.Run's telemetry is bit-identical to the
+// one Generate produces from the same seed.
 func Summarize(id int, label apps.Label, ns *telemetry.NodeSet, windows []telemetry.Window) *Execution {
-	ns.Seal()
+	z := newSummarizer(windows)
 	nodes := ns.Nodes()
 	e := &Execution{
 		ID:       id,
 		Label:    label,
 		NumNodes: len(nodes),
-		Duration: ns.Duration(),
 		Stats:    make(map[string][]NodeMetricStats),
-	}
-	// Window key strings are computed once per Summarize call, not per
-	// (metric, node, window) probe.
-	winKeys := make([]string, len(windows))
-	for i, w := range windows {
-		winKeys[i] = w.Key()
 	}
 	for _, metric := range ns.Metrics() {
 		per := make([]NodeMetricStats, len(nodes))
@@ -154,24 +150,84 @@ func Summarize(id int, label apps.Label, ns *telemetry.NodeSet, windows []teleme
 			if s == nil {
 				continue
 			}
-			nms := NodeMetricStats{
-				Full:        stats.Describe(s.ValuesView()),
-				WindowMeans: make(map[string]float64, len(windows)),
-				winKeys:     make([]telemetry.Window, 0, len(windows)),
-				winMeans:    make([]float64, 0, len(windows)),
+			if !s.Sorted() {
+				s.Sort()
 			}
-			for wi, w := range windows {
-				if mean, err := s.WindowMean(w); err == nil {
-					nms.WindowMeans[winKeys[wi]] = mean
-					nms.winKeys = append(nms.winKeys, w)
-					nms.winMeans = append(nms.winMeans, mean)
-				}
+			for k, w := range windows {
+				z.lo[k], z.hi[k], _ = s.Bounds(w)
 			}
-			per[i] = nms
+			per[i] = z.series(s.ValuesView())
 		}
 		e.Stats[metric] = per
 	}
+	// After the sorts, so the last offset of every series is its latest.
+	e.Duration = ns.Duration()
 	return e
+}
+
+// summarizer turns one series at a time into its NodeMetricStats,
+// reusing its sort and prefix-sum buffers from one series to the
+// next. Summarize and Generate share it, so there is one definition
+// of every summary value. A summarizer must not be used concurrently.
+type summarizer struct {
+	windows []telemetry.Window
+	keys    []string // windows[k].Key(), formatted once
+	// lo and hi hold the current series' sample range of each window;
+	// lo == hi marks a window the series does not cover.
+	lo, hi []int
+	desc   stats.Describer
+	pre    []stats.DD
+}
+
+func newSummarizer(windows []telemetry.Window) *summarizer {
+	z := &summarizer{
+		windows: windows,
+		keys:    make([]string, len(windows)),
+		lo:      make([]int, len(windows)),
+		hi:      make([]int, len(windows)),
+	}
+	for k, w := range windows {
+		z.keys[k] = w.Key()
+	}
+	return z
+}
+
+// gridBounds sets the window ranges for n samples taken every period
+// from offset 0, the grid the simulator samples on.
+func (z *summarizer) gridBounds(period time.Duration, n int) {
+	for k, w := range z.windows {
+		z.lo[k], z.hi[k], _ = telemetry.GridBounds(w, period, n)
+	}
+}
+
+// series summarizes vals, whose window ranges z.lo and z.hi hold: the
+// full-series Summary, and each covered window's mean from
+// double-double prefix sums taken only up to the last window end.
+// Those prefix values are the ones Series.Seal computes, so the means
+// equal a sealed Series.WindowMean to the last bit.
+func (z *summarizer) series(vals []float64) NodeMetricStats {
+	nms := NodeMetricStats{
+		Full:        z.desc.Describe(vals),
+		WindowMeans: make(map[string]float64, len(z.windows)),
+		winKeys:     make([]telemetry.Window, 0, len(z.windows)),
+		winMeans:    make([]float64, 0, len(z.windows)),
+	}
+	end := 0
+	for _, hi := range z.hi {
+		end = max(end, hi)
+	}
+	z.pre = stats.AppendPrefixSums(z.pre[:0], vals[:end])
+	for k, w := range z.windows {
+		lo, hi := z.lo[k], z.hi[k]
+		if lo == hi {
+			continue
+		}
+		mean := stats.PrefixMean(z.pre, lo, hi)
+		nms.WindowMeans[z.keys[k]] = mean
+		nms.winKeys = append(nms.winKeys, w)
+		nms.winMeans = append(nms.winMeans, mean)
+	}
+	return nms
 }
 
 // Len reports the number of executions.

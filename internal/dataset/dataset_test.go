@@ -1,7 +1,9 @@
 package dataset
 
 import (
+	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -83,24 +85,29 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestGenerateParallelMatchesSequential(t *testing.T) {
 	cfg := smallConfig()
-	cfg.Parallel = true
-	par, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Parallel = false
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	seq, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := telemetry.PaperWindow
-	for i := range par.Executions {
-		va, _ := par.Executions[i].WindowMean(apps.HeadlineMetric, 1, w)
-		vb, _ := seq.Executions[i].WindowMean(apps.HeadlineMetric, 1, w)
-		if va != vb {
-			t.Fatalf("parallel and sequential generation diverge at execution %d", i)
-		}
+	runtime.GOMAXPROCS(2)
+	par, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if a, b := csvBytes(t, seq), csvBytes(t, par); !bytes.Equal(a, b) {
+		t.Fatalf("GOMAXPROCS 1 and 2 generation diverge:\n%s", firstCSVDiff(b, a))
+	}
+}
+
+// csvBytes renders ds through SaveCSV.
+func csvBytes(t *testing.T, ds *Dataset) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ds.SaveCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func TestGenerateValidatesConfig(t *testing.T) {

@@ -3,11 +3,11 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
+	"time"
 
 	"repro/internal/apps"
 	"repro/internal/cluster"
+	"repro/internal/par"
 	"repro/internal/telemetry"
 )
 
@@ -27,25 +27,44 @@ type GenConfig struct {
 	// Apps restricts generation to the named applications; nil
 	// generates all eleven.
 	Apps []string
-	// Parallel enables concurrent generation across executions.
-	Parallel bool
 }
 
 // DefaultGenConfig is the paper's primary grid: all applications, 4
 // nodes, 30 repeats, default noise.
 func DefaultGenConfig() GenConfig {
 	return GenConfig{
-		Cluster:  cluster.DefaultConfig(),
-		Repeats:  30,
-		Seed:     1,
-		Parallel: true,
+		Cluster: cluster.DefaultConfig(),
+		Repeats: 30,
+		Seed:    1,
 	}
 }
 
-// Generate builds the dataset described by cfg. Every execution draws
-// its randomness from an independent seed derived from cfg.Seed, so the
-// result is identical whether generation runs sequentially or in
-// parallel.
+// genTask is one execution of the grid.
+type genTask struct {
+	spec apps.Spec
+	in   apps.Input
+	seed int64
+}
+
+// execSeed derives the random seed of the execution with the given ID
+// from the dataset seed: a stable function of the grid coordinates,
+// independent of which worker runs the execution when.
+func execSeed(seed int64, id int) int64 { return seed*1_000_003 + int64(id)*7919 + 17 }
+
+// genWorker is one generation worker's reusable state: its random
+// source (reseeding it per execution reproduces a fresh
+// rand.New(rand.NewSource(seed)) exactly), sampler and summarizer.
+type genWorker struct {
+	rng     *rand.Rand
+	sampler cluster.Sampler
+	sum     *summarizer
+}
+
+// Generate builds the dataset described by cfg on GOMAXPROCS workers.
+// Every execution draws its randomness from an independent seed
+// derived from cfg.Seed, so the result does not depend on the number
+// of workers. Each series is summarized straight from the sampling
+// kernel's buffer; no raw telemetry is kept.
 func Generate(cfg GenConfig) (*Dataset, error) {
 	if cfg.Repeats <= 0 {
 		return nil, fmt.Errorf("dataset: repeats must be positive, got %d", cfg.Repeats)
@@ -71,77 +90,64 @@ func Generate(cfg GenConfig) (*Dataset, error) {
 		specs = sel
 	}
 
-	type task struct {
-		id   int
-		spec apps.Spec
-		in   apps.Input
-		seed int64
-	}
-	var tasks []task
-	id := 0
+	var tasks []genTask
 	for _, spec := range specs {
 		for _, in := range spec.Inputs {
 			for r := 0; r < cfg.Repeats; r++ {
-				// Derive a stable per-execution seed from the grid
-				// coordinates, independent of iteration order.
-				seed := cfg.Seed*1_000_003 + int64(id)*7919 + 17
-				tasks = append(tasks, task{id: id, spec: spec, in: in, seed: seed})
-				id++
+				tasks = append(tasks, genTask{spec: spec, in: in, seed: execSeed(cfg.Seed, len(tasks))})
 			}
 		}
 	}
 
+	// At most this many tasks run at once, so the free list never runs
+	// dry.
+	workers := min(par.Workers(0), len(tasks))
+	free := make(chan *genWorker, workers)
+	for w := 0; w < workers; w++ {
+		free <- &genWorker{rng: rand.New(rand.NewSource(0)), sum: newSummarizer(windows)}
+	}
 	execs := make([]*Execution, len(tasks))
-	runOne := func(t task) error {
-		rng := rand.New(rand.NewSource(t.seed))
-		ns, _, err := sim.Run(t.spec, t.in, rng)
+	errs := make([]error, len(tasks))
+	par.For(len(tasks), workers, func(i int) {
+		w := <-free
+		execs[i], errs[i] = w.generate(sim, i, tasks[i])
+		free <- w
+	})
+	for _, err := range errs {
 		if err != nil {
-			return err
-		}
-		execs[t.id] = Summarize(t.id, apps.Label{App: t.spec.Name, Input: t.in}, ns, windows)
-		return nil
-	}
-
-	if !cfg.Parallel {
-		for _, t := range tasks {
-			if err := runOne(t); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		workers := runtime.GOMAXPROCS(0)
-		if workers > len(tasks) {
-			workers = len(tasks)
-		}
-		ch := make(chan task)
-		errs := make(chan error, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for t := range ch {
-					if err := runOne(t); err != nil {
-						select {
-						case errs <- err:
-						default:
-						}
-						return
-					}
-				}
-			}()
-		}
-		for _, t := range tasks {
-			ch <- t
-		}
-		close(ch)
-		wg.Wait()
-		select {
-		case err := <-errs:
 			return nil, err
-		default:
 		}
 	}
-
 	return &Dataset{Windows: windows, Executions: execs}, nil
+}
+
+// generate simulates and summarizes one execution.
+func (w *genWorker) generate(sim *cluster.Simulator, id int, t genTask) (*Execution, error) {
+	w.rng.Seed(t.seed)
+	cfg := sim.Config()
+	exec, err := t.spec.Instantiate(t.in, cfg.Nodes, w.rng)
+	if err != nil {
+		return nil, err
+	}
+	e := &Execution{
+		ID:       id,
+		Label:    apps.Label{App: t.spec.Name, Input: t.in},
+		NumNodes: exec.NumNodes,
+		Stats:    make(map[string][]NodeMetricStats),
+	}
+	n := 0
+	sim.Sample(exec, w.rng, &w.sampler, func(metric string, node int, vals []float64) {
+		per := e.Stats[metric]
+		if per == nil {
+			per = make([]NodeMetricStats, exec.NumNodes)
+			e.Stats[metric] = per
+		}
+		if len(vals) != n {
+			n = len(vals)
+			w.sum.gridBounds(cfg.Period, n)
+		}
+		per[node] = w.sum.series(vals)
+	})
+	e.Duration = time.Duration(n-1) * cfg.Period
+	return e, nil
 }

@@ -1,11 +1,16 @@
-// Package noise provides the perturbation models that make the
-// synthetic telemetry "noisy" in the sense the paper cares about: a
-// fingerprint must survive Gaussian measurement jitter, occasional
-// spikes, slow drift, and the turbulent initialization phase that
-// motivates the paper's [60s,120s) window choice.
+// Package noise provides the perturbations that make the synthetic
+// telemetry "noisy" in the sense the paper cares about: a fingerprint
+// must survive Gaussian measurement jitter, occasional spikes, slow
+// drift, a noisy neighbour, and the turbulent initialization phase
+// that motivates the paper's [60s,120s) window choice.
 //
-// Every model is a deterministic function of a caller-supplied
-// *rand.Rand, so identical seeds reproduce identical telemetry.
+// One kernel applies them all. Tables holds the factors that depend
+// only on the sample index (the start-up transient's decay and the
+// drift), built once per execution and shared by all of its series;
+// Perturb then turns one series of ideal values into observed values
+// in place, drawing every random number from a caller-supplied
+// *rand.Rand in a fixed order, so identical seeds reproduce identical
+// telemetry.
 package noise
 
 import (
@@ -13,132 +18,6 @@ import (
 	"math/rand"
 	"time"
 )
-
-// Model perturbs the ideal value of a metric at a given offset from
-// execution start. Implementations must be pure given the rng state.
-type Model interface {
-	// Perturb returns the observed value derived from the ideal value
-	// at the given offset.
-	Perturb(rng *rand.Rand, offset time.Duration, ideal float64) float64
-}
-
-// None is the identity model, useful for calibration runs and tests.
-type None struct{}
-
-// Perturb returns ideal unchanged.
-func (None) Perturb(_ *rand.Rand, _ time.Duration, ideal float64) float64 { return ideal }
-
-// Gaussian adds zero-mean Gaussian jitter. Sigma may be absolute
-// (SigmaAbs) or relative to the ideal value (SigmaRel); both contribute.
-type Gaussian struct {
-	SigmaAbs float64
-	SigmaRel float64
-}
-
-// Perturb adds one draw of Gaussian noise.
-func (g Gaussian) Perturb(rng *rand.Rand, _ time.Duration, ideal float64) float64 {
-	sigma := g.SigmaAbs + math.Abs(ideal)*g.SigmaRel
-	if sigma <= 0 {
-		return ideal
-	}
-	return ideal + rng.NormFloat64()*sigma
-}
-
-// Spike injects rare, large positive excursions — the "someone else's
-// job hammered the node for a second" events seen in shared-cluster
-// telemetry.
-type Spike struct {
-	// Prob is the per-sample probability of a spike.
-	Prob float64
-	// Magnitude is the spike height relative to the ideal value.
-	Magnitude float64
-}
-
-// Perturb occasionally adds a spike of Magnitude×ideal.
-func (s Spike) Perturb(rng *rand.Rand, _ time.Duration, ideal float64) float64 {
-	if s.Prob <= 0 || rng.Float64() >= s.Prob {
-		return ideal
-	}
-	return ideal + math.Abs(ideal)*s.Magnitude
-}
-
-// Drift applies a slow linear trend over the execution, modelling memory
-// leak-like growth or cache warm-up effects.
-type Drift struct {
-	// PerMinute is the relative change per minute of execution.
-	PerMinute float64
-}
-
-// Perturb applies the accumulated drift at the given offset.
-func (d Drift) Perturb(_ *rand.Rand, offset time.Duration, ideal float64) float64 {
-	return ideal * (1 + d.PerMinute*offset.Minutes())
-}
-
-// InitTransient models the turbulent start-up phase: a decaying
-// exponential excursion plus extra jitter that dies off after Settle.
-// The paper's window choice of [60:120] exists precisely to dodge this.
-type InitTransient struct {
-	// Amplitude is the relative height of the excursion at offset 0.
-	Amplitude float64
-	// Settle is the time constant of the exponential decay.
-	Settle time.Duration
-	// ExtraSigmaRel is additional relative jitter applied while the
-	// transient is alive.
-	ExtraSigmaRel float64
-}
-
-// Perturb applies the decaying start-up excursion.
-func (it InitTransient) Perturb(rng *rand.Rand, offset time.Duration, ideal float64) float64 {
-	if it.Settle <= 0 {
-		return ideal
-	}
-	decay := math.Exp(-offset.Seconds() / it.Settle.Seconds())
-	v := ideal * (1 + it.Amplitude*decay)
-	if it.ExtraSigmaRel > 0 {
-		v += rng.NormFloat64() * math.Abs(ideal) * it.ExtraSigmaRel * decay
-	}
-	return v
-}
-
-// Interference models a noisy neighbour: with probability Prob per
-// execution (decided on first use), the whole execution sees its values
-// scaled by 1+Level. It captures the run-to-run variation that makes
-// some (app,input) pairs produce more than one fingerprint (§5,
-// "measurement variation and system noise").
-type Interference struct {
-	Prob  float64
-	Level float64
-
-	decided bool
-	active  bool
-}
-
-// Perturb scales the value when the neighbour is active. The activation
-// decision is drawn once per Interference instance, so one instance must
-// be used per execution.
-func (in *Interference) Perturb(rng *rand.Rand, _ time.Duration, ideal float64) float64 {
-	if !in.decided {
-		in.active = rng.Float64() < in.Prob
-		in.decided = true
-	}
-	if !in.active {
-		return ideal
-	}
-	return ideal * (1 + in.Level)
-}
-
-// Chain composes models left to right: the output of one is the ideal
-// input of the next.
-type Chain []Model
-
-// Perturb applies each model in order.
-func (c Chain) Perturb(rng *rand.Rand, offset time.Duration, ideal float64) float64 {
-	v := ideal
-	for _, m := range c {
-		v = m.Perturb(rng, offset, v)
-	}
-	return v
-}
 
 // Profile describes the noise environment of one simulated cluster. The
 // zero value is a quiet system.
@@ -186,16 +65,101 @@ func QuietProfile() Profile {
 	return Profile{Jitter: 0.0005, InitAmplitude: 0.3, InitSettle: 10 * time.Second}
 }
 
-// NewChain instantiates a fresh model chain for one execution. A new
-// chain must be created per execution because Interference carries
-// per-execution state.
-func (p Profile) NewChain() Chain {
-	c := Chain{
-		InitTransient{Amplitude: p.InitAmplitude, Settle: p.InitSettle, ExtraSigmaRel: p.Jitter * 4},
-		Drift{PerMinute: p.DriftPerMinute},
-		&Interference{Prob: p.InterferenceProb, Level: p.InterferenceLevel},
-		Spike{Prob: p.SpikeProb, Magnitude: p.SpikeMagnitude},
-		Gaussian{SigmaRel: p.Jitter},
+// Tables holds the factors of one execution's noise environment that
+// depend only on the sample index: the start-up transient's decay
+// exp(-t/InitSettle) and height 1+InitAmplitude·decay, and the drift
+// 1+DriftPerMinute·minutes. Every application series of the execution
+// shares them. The zero value is empty; Tabulate fills it, reusing
+// its buffers, and a Tables must not be used concurrently.
+type Tables struct {
+	p         Profile
+	decay     []float64
+	transient []float64
+	drift     []float64
+}
+
+// Tabulate fills t for n samples taken every period from offset 0,
+// sample i at offset i·period, under the profile p.
+func (t *Tables) Tabulate(p Profile, period time.Duration, n int) {
+	t.p = p
+	t.decay, t.transient, t.drift = t.decay[:0], t.transient[:0], t.drift[:0]
+	for i := 0; i < n; i++ {
+		off := time.Duration(i) * period
+		if p.InitSettle > 0 {
+			decay := math.Exp(-off.Seconds() / p.InitSettle.Seconds())
+			t.decay = append(t.decay, decay)
+			t.transient = append(t.transient, 1+p.InitAmplitude*decay)
+		}
+		if p.DriftPerMinute != 0 {
+			t.drift = append(t.drift, 1+p.DriftPerMinute*off.Minutes())
+		}
 	}
-	return c
+}
+
+// Perturb turns one application series, ideal values in, observed
+// values out, in place. vals must hold the n samples t was tabulated
+// for; jitter replaces the profile's Jitter as the series' relative
+// measurement noise (the profile's plus the metric's own). Each sample
+// passes, in order, through the start-up transient and its extra
+// jitter, the drift, the neighbour interference (decided by one draw
+// at the first sample), a spike and the Gaussian jitter, and is
+// clamped at zero: a monitored counter never reads negative. The rng
+// draws follow the same order.
+//
+//efd:hotpath
+func (t *Tables) Perturb(rng *rand.Rand, jitter float64, vals []float64) {
+	p := t.p
+	p.Jitter = jitter
+	perturb(rng, p, t, vals)
+}
+
+// PerturbProperty is Perturb for a node property such as MemTotal,
+// which is immune to application noise: it sees only the Gaussian
+// jitter. The interference decision is still drawn, at probability
+// zero, so the random stream stays the one the dataset goldens pin.
+//
+//efd:hotpath
+func PerturbProperty(rng *rand.Rand, jitter float64, vals []float64) {
+	perturb(rng, Profile{Jitter: jitter}, nil, vals)
+}
+
+// perturb is the kernel behind Perturb and PerturbProperty. It reads
+// t's transient tables only when p has a start-up transient and its
+// drift table only when p drifts; each factor is evaluated exactly as
+// the per-sample model chain of the tests evaluates it, so the output
+// is bit-identical to that reference.
+func perturb(rng *rand.Rand, p Profile, t *Tables, vals []float64) {
+	transient := p.InitSettle > 0
+	extra := p.Jitter * 4
+	drift := p.DriftPerMinute != 0
+	interference := 1 + p.InterferenceLevel
+	active := false
+	for i, ideal := range vals {
+		v := ideal
+		if transient {
+			v = ideal * t.transient[i]
+			if extra > 0 {
+				v += rng.NormFloat64() * math.Abs(ideal) * extra * t.decay[i]
+			}
+		}
+		if drift {
+			v *= t.drift[i]
+		}
+		if i == 0 {
+			active = rng.Float64() < p.InterferenceProb
+		}
+		if active {
+			v *= interference
+		}
+		if p.SpikeProb > 0 && rng.Float64() < p.SpikeProb {
+			v += math.Abs(v) * p.SpikeMagnitude
+		}
+		if sigma := math.Abs(v) * p.Jitter; sigma > 0 {
+			v += rng.NormFloat64() * sigma
+		}
+		if v < 0 {
+			v = 0
+		}
+		vals[i] = v
+	}
 }

@@ -1,6 +1,9 @@
 package stats
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // This file holds the error-free transformations and double-double
 // (~106-bit) arithmetic behind the telemetry layer's prefix sums and
@@ -91,6 +94,29 @@ func (d DD) Div(x float64) DD {
 
 // Value rounds the double-double to the nearest float64.
 func (d DD) Value() float64 { return d.Hi + d.Lo }
+
+// AppendPrefixSums appends the running double-double sums of xs to
+// dst, starting from zero: len(xs)+1 entries, the k-th the sum of
+// xs[:k]. PrefixMean then answers any window's mean in O(1).
+// Series.Seal and the dataset summarizer both build their prefix
+// columns with it, so their window means agree bit for bit.
+func AppendPrefixSums(dst []DD, xs []float64) []DD {
+	dst = slices.Grow(dst, len(xs)+1)
+	var acc DD
+	dst = append(dst, acc)
+	for _, x := range xs {
+		acc.Add(x)
+		dst = append(dst, acc)
+	}
+	return dst
+}
+
+// PrefixMean returns the mean of xs[lo:hi], lo < hi, from the prefix
+// sums AppendPrefixSums built over xs (or over any prefix of xs
+// reaching hi).
+func PrefixMean(pre []DD, lo, hi int) float64 {
+	return pre[hi].Sub(pre[lo]).Value() / float64(hi-lo)
+}
 
 // Moments are descriptive statistics recovered from power sums: the
 // moment fields use exactly the same estimator conventions as the

@@ -211,6 +211,13 @@ type Summary struct {
 	P95      float64
 }
 
+// Describer computes Summaries, reusing one sort buffer from one call
+// to the next. The zero value is ready to use; a Describer must not be
+// used concurrently.
+type Describer struct {
+	sorted []float64
+}
+
 // Describe computes a Summary of xs. Empty input yields a zero Summary.
 //
 // It is the fused form of the individual statistics: one sorted copy
@@ -220,7 +227,7 @@ type Summary struct {
 // standalone functions compute, so every field is bit-identical to
 // calling Variance/Skewness/Kurtosis/Percentiles separately — at a
 // third of the passes over the data.
-func Describe(xs []float64) Summary {
+func (ds *Describer) Describe(xs []float64) Summary {
 	n := len(xs)
 	if n == 0 {
 		return Summary{}
@@ -229,8 +236,8 @@ func Describe(xs []float64) Summary {
 	// statistics; selectRanks establishes exactly those positions
 	// instead of fully sorting the copy (same values, far fewer
 	// comparisons — the sort dominated Summarize before).
-	sorted := make([]float64, n)
-	copy(sorted, xs)
+	sorted := append(ds.sorted[:0], xs...)
+	ds.sorted = sorted
 	var rankBuf [10]int
 	selectRanks(sorted, percentileRanks(rankBuf[:0], n, 5, 25, 50, 75, 95))
 

@@ -335,3 +335,34 @@ func FeatureNames() []string {
 		"p5", "p25", "p50", "p75", "p95",
 	}
 }
+
+// Describe is the one-shot form of Describer.Describe the tests use.
+func Describe(xs []float64) Summary {
+	var ds Describer
+	return ds.Describe(xs)
+}
+
+// TestDescriberReuse runs one Describer over inputs that shrink and
+// grow: the reused sort buffer must not leak one call's values into
+// the next, so every Summary equals a fresh Describer's, and the input
+// is never modified.
+func TestDescriberReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var ds Describer
+	for _, n := range []int{300, 7, 0, 1, 64, 250, 3, 301} {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = 1000 + rng.NormFloat64()*float64(i%17)
+		}
+		orig := append([]float64(nil), xs...)
+		var fresh Describer
+		if got, want := ds.Describe(xs), fresh.Describe(xs); got != want {
+			t.Fatalf("n=%d: reused Describer %+v, fresh %+v", n, got, want)
+		}
+		for i := range xs {
+			if xs[i] != orig[i] {
+				t.Fatalf("n=%d: Describe modified its input at %d", n, i)
+			}
+		}
+	}
+}

@@ -64,19 +64,6 @@ func (ns *NodeSet) Metrics() []string {
 	return out
 }
 
-// Seal seals every series in the set (sorting where needed and
-// building the prefix power sums), so subsequent window queries cost
-// O(1)/O(log n) regardless of window length. Like Series.Seal it
-// requires exclusive access: seal once after ingest, then share for
-// concurrent reads.
-func (ns *NodeSet) Seal() {
-	for _, m := range ns.series {
-		for _, s := range m {
-			s.Seal()
-		}
-	}
-}
-
 // NumSeries reports the total number of stored series.
 func (ns *NodeSet) NumSeries() int {
 	n := 0

@@ -178,7 +178,7 @@ func TestWindowStatsMatchesSliceStats(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := stats.Describe(vals)
+		want := new(stats.Describer).Describe(vals)
 		check := func(label string, m stats.Moments) {
 			if m.Count != want.Count {
 				t.Errorf("%s Count = %d, want %d", label, m.Count, want.Count)
@@ -277,5 +277,33 @@ func TestSealedWindowCostIndependentOfLength(t *testing.T) {
 	n, w := time(narrow), time(wide)
 	if w > 8*n+100 { // +100ns absolute floor so sub-ns noise can't trip it
 		t.Errorf("sealed WindowMean: wide window %.1fns vs narrow %.1fns — cost should be independent of window length", w, n)
+	}
+}
+
+// TestGridBoundsMatchesSeries holds GridBounds to Series.Bounds: on the
+// implicit 1 Hz grid, and for other periods against a series carrying
+// the explicit offsets i·period, over windows that start, end or fall
+// outside the series and one invalid window.
+func TestGridBoundsMatchesSeries(t *testing.T) {
+	windows := []Window{
+		{Start: 0, End: sec(60)}, {Start: sec(60), End: sec(120)}, {Start: 1500 * time.Millisecond, End: sec(7)},
+		{Start: sec(170), End: sec(400)}, {Start: sec(500), End: sec(600)}, {Start: sec(5), End: sec(5)},
+	}
+	for _, period := range []time.Duration{DefaultPeriod, 500 * time.Millisecond, 3 * time.Second, 1700 * time.Millisecond} {
+		for _, n := range []int{0, 1, 100, 181} {
+			offs, vals := make([]time.Duration, n), make([]float64, n)
+			for i := range offs {
+				offs[i] = time.Duration(i) * period
+			}
+			s := NewSeriesFromColumns("m", 0, offs, vals)
+			for _, w := range windows {
+				lo, hi, err := GridBounds(w, period, n)
+				slo, shi, serr := s.Bounds(w)
+				if lo != slo || hi != shi || (err == nil) != (serr == nil) {
+					t.Errorf("period %v n %d window %v: GridBounds (%d, %d, %v), Series.Bounds (%d, %d, %v)",
+						period, n, w, lo, hi, err, slo, shi, serr)
+				}
+			}
+		}
 	}
 }

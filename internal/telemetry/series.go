@@ -247,13 +247,7 @@ func (s *Series) Seal() {
 	if s.pre != nil {
 		return
 	}
-	pre := make([]stats.DD, len(s.vals)+1)
-	var acc stats.DD
-	for i, x := range s.vals {
-		acc.Add(x)
-		pre[i+1] = acc
-	}
-	s.pre = pre
+	s.pre = stats.AppendPrefixSums(nil, s.vals)
 }
 
 // Len reports the number of samples.
@@ -381,14 +375,15 @@ var ErrUnsortedSeries = errors.New("telemetry: series has out-of-order samples; 
 //efd:coldpath
 func errInvalidWindow(w Window) error { return fmt.Errorf("telemetry: invalid window %v", w) }
 
-// window resolves the [lo, hi) sample range covered by w. On the
-// implicit grid the bounds are integer arithmetic (O(1)); with an
-// explicit offset column they binary-search it. It is strictly
+// Bounds resolves the [lo, hi) sample range covered by w. On the
+// implicit grid the bounds are integer arithmetic (O(1), the rule
+// GridBounds applies to any period); with an explicit offset column
+// they binary-search it. It is strictly
 // read-only: flagged-unsorted series are rejected, never sorted in
 // place, so concurrent reads of a well-formed series are race-free.
 //
 //efd:hotpath
-func (s *Series) window(w Window) (lo, hi int, err error) {
+func (s *Series) Bounds(w Window) (lo, hi int, err error) {
 	if !w.Valid() {
 		return 0, 0, errInvalidWindow(w)
 	}
@@ -397,15 +392,7 @@ func (s *Series) window(w Window) (lo, hi int, err error) {
 	}
 	n := len(s.vals)
 	if s.offs == nil {
-		// First index with i*period >= bound, i.e. ceil(bound/period).
-		lo = int((w.Start + DefaultPeriod - 1) / DefaultPeriod)
-		hi = int((w.End + DefaultPeriod - 1) / DefaultPeriod)
-		if lo > n {
-			lo = n
-		}
-		if hi > n {
-			hi = n
-		}
+		lo, hi = gridIndex(w.Start, DefaultPeriod, n), gridIndex(w.End, DefaultPeriod, n)
 	} else {
 		lo = sort.Search(n, func(i int) bool {
 			return s.offs[i] >= w.Start
@@ -420,6 +407,30 @@ func (s *Series) window(w Window) (lo, hi int, err error) {
 	return lo, hi, nil
 }
 
+// GridBounds resolves the [lo, hi) range that w covers among n samples
+// on a regular grid, sample i at offset i·period: the implicit-grid
+// rule of Bounds, for any period. It fails like Bounds on an invalid
+// or uncovered window.
+//
+//efd:hotpath
+func GridBounds(w Window, period time.Duration, n int) (lo, hi int, err error) {
+	if !w.Valid() {
+		return 0, 0, errInvalidWindow(w)
+	}
+	lo, hi = gridIndex(w.Start, period, n), gridIndex(w.End, period, n)
+	if lo == hi {
+		return 0, 0, ErrShortSeries
+	}
+	return lo, hi, nil
+}
+
+// gridIndex returns the first of n grid samples, sample i at offset
+// i·period, whose offset is at or past bound >= 0: ceil(bound/period),
+// capped at n.
+func gridIndex(bound, period time.Duration, n int) int {
+	return min(int((bound+period-1)/period), n)
+}
+
 // WindowMean returns the arithmetic mean of the samples in the window.
 // On a sealed series it is a prefix-sum subtraction — O(1) on the
 // implicit grid, O(log n) with explicit offsets, independent of window
@@ -429,13 +440,12 @@ func (s *Series) window(w Window) (lo, hi int, err error) {
 //
 //efd:hotpath
 func (s *Series) WindowMean(w Window) (float64, error) {
-	lo, hi, err := s.window(w)
+	lo, hi, err := s.Bounds(w)
 	if err != nil {
 		return 0, err
 	}
 	if p := s.pre; p != nil {
-		sum := p[hi].Sub(p[lo])
-		return sum.Value() / float64(hi-lo), nil
+		return stats.PrefixMean(p, lo, hi), nil
 	}
 	var sum stats.DD
 	for _, x := range s.vals[lo:hi] {
@@ -453,7 +463,7 @@ func (s *Series) WindowMean(w Window) (float64, error) {
 //efd:hotpath
 //efd:keep deletion deferred: only tests call it, and deleting it retires TestWindowStatsMatchesSliceStats and TestWindowStatsErrors (see ROADMAP.md)
 func (s *Series) WindowStats(w Window) (stats.Moments, error) {
-	lo, hi, err := s.window(w)
+	lo, hi, err := s.Bounds(w)
 	if err != nil {
 		return stats.Moments{}, err
 	}

@@ -454,7 +454,7 @@ func (w Window) Duration() time.Duration { return w.End - w.Start }
 // application finished early" from "the application was idle", and
 // ErrUnsortedSeries when out-of-order appends have not been Sorted yet.
 func (s *Series) Slice(w Window) ([]float64, error) {
-	lo, hi, err := s.window(w)
+	lo, hi, err := s.Bounds(w)
 	if err != nil {
 		return nil, err
 	}

@@ -149,7 +149,11 @@ func TestFlushAndStoredQueriesMatchMemory(t *testing.T) {
 	if err != nil || !live {
 		t.Fatalf("live series: %v (live=%v)", err, live)
 	}
-	ref.Seal()
+	for _, node := range ref.Nodes() {
+		for _, m := range ref.Metrics() {
+			ref.Get(node, m).Seal()
+		}
+	}
 
 	if err := st.Finish("job-x", "lammps_X"); err != nil {
 		t.Fatal(err)
