@@ -14,8 +14,10 @@
 #   make test-race - build + tests under -race
 #   make fuzz-short - bounded fuzz pass (FUZZTIME per target, default
 #                    10s) over the tsdb WAL/segment decoders, the
-#                    LDMS CSV reader, and the wire run decoder and the
-#                    application/x-efd-runs body decoder: every parser
+#                    LDMS CSV reader, the wire run decoder, the
+#                    application/x-efd-runs body decoder and the JSON
+#                    samples decoder (differential against
+#                    encoding/json): every parser
 #                    that consumes bytes a crash, a rotted disk or the
 #                    network may have produced
 #   make chaos-short - seeded fault-injection chaos pass (CHAOSTIME
@@ -120,6 +122,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadNodeCSV$$' -fuzztime $(FUZZTIME) ./internal/ldms
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRunInto$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRunsBody$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSamplesJSON$$' -fuzztime $(FUZZTIME) ./internal/server
 
 # -count=1 defeats the test cache: each chaos run draws a fresh seed
 # from the clock, so successive runs explore different schedules. A

@@ -933,9 +933,9 @@ func benchClientRuns(iter int) []monitor.RunBatch {
 // runClientIngest drives the typed client against a live HTTP server
 // end to end — connection, encoding, server decode, columnar feed —
 // and reports total allocations across client and server. The mode
-// selects the wire encoding; BenchmarkClientIngestBinary must stay at
-// least 2x below BenchmarkClientIngestJSON in allocs/op (pinned by
-// TestClientIngestAllocRatio in efd/client).
+// selects the wire encoding; BenchmarkClientIngestBinary must stay
+// below BenchmarkClientIngestJSON in allocs/op (pinned, with a
+// ceiling, by TestClientIngestAllocRatio in efd/client).
 func runClientIngest(b *testing.B, mode client.BinaryMode) {
 	srv := server.NewEngine(monitor.New(benchServerDictionary(b)))
 	ts := httptest.NewServer(srv.Handler())
@@ -973,3 +973,43 @@ func BenchmarkClientIngestJSON(b *testing.B) { runClientIngest(b, client.BinaryN
 // (application/x-efd-runs): wire-framed columns end to end, decoded
 // into pooled scratch, no per-sample parsing anywhere.
 func BenchmarkClientIngestBinary(b *testing.B) { runClientIngest(b, client.BinaryAlways) }
+
+// BenchmarkServerIngestJSON is the server side of row-form JSON ingest
+// in perfbench's request shape: one 640-sample multi-job body (16 jobs
+// × 4 nodes × 10 samples, as efd/client marshals it) through
+// Server.Handler(), without a network. ns/sample spreads the request's
+// read, decode, regroup and feed over its samples.
+func BenchmarkServerIngestJSON(b *testing.B) {
+	const jobs, nodes, perNode = 16, 4, 10
+	s := server.NewEngine(monitor.New(benchServerDictionary(b)))
+	h := s.Handler()
+	batches := make([]monitor.Batch, jobs)
+	for j := range batches {
+		batches[j].JobID = fmt.Sprintf("bench-json-%02d", j)
+		if _, err := s.Register(batches[j].JobID, nodes); err != nil {
+			b.Fatal(err)
+		}
+		for node := 0; node < nodes; node++ {
+			for k := 0; k < perNode; k++ {
+				batches[j].Samples = append(batches[j].Samples, monitor.Sample{
+					Metric: apps.HeadlineMetric, Node: node,
+					OffsetS: float64(60 + k), Value: 1000*float64(j%8+1) + float64(k)/3,
+				})
+			}
+		}
+	}
+	body, err := json.Marshal(map[string]any{"batches": batches})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/samples", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("ingest: %d %s", rec.Code, rec.Body)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*jobs*nodes*perNode), "ns/sample")
+}

@@ -4,8 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -261,50 +265,117 @@ func TestRetryRespectsContext(t *testing.T) {
 	}
 }
 
-// TestBinaryVersusJSONBitIdentical feeds identical telemetry to two
-// identically trained servers — one over JSON, one over the binary
-// columnar encoding — and requires bit-identical recognition state.
+// TestBinaryVersusJSONBitIdentical is a seeded property test of the
+// two ingest encodings. Per seed, two identically trained servers
+// register the same jobs; random multi-job requests then go as JSON
+// to one and as application/x-efd-runs to the other. The requests mix
+// random nodes (some beyond the job's), offsets on and off the 1 s
+// grid, extreme finite values, unknown jobs and invalid job IDs. Each
+// request must draw the same IngestResult or the same rejection from
+// both, and afterwards every job's recognition State and listing entry
+// must be bit-identical.
 func TestBinaryVersusJSONBitIdentical(t *testing.T) {
-	// Awkward values: many mantissa bits, values JSON prints in
-	// scientific notation, negatives, subnormal-adjacent magnitudes.
-	values := []float64{6010.123456789012, 6009.999999999999, 6010.5e-3 * 1e3, 6011.000000000001}
-	mkRuns := func() []monitor.RunBatch {
-		var runs []monitor.Run
-		for node := 0; node < 2; node++ {
-			run := monitor.Run{Metric: apps.HeadlineMetric, Node: node}
-			for sec := 0; sec <= 125; sec++ {
-				run.Offsets = append(run.Offsets, time.Duration(sec)*time.Second)
-				run.Values = append(run.Values, values[sec%len(values)])
-			}
-			runs = append(runs, run)
-		}
-		return []monitor.RunBatch{{JobID: "bit", Runs: runs}}
+	values := []float64{
+		0, math.Copysign(0, -1), math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, 1e-300, 6010.123456789012, 6009.999999999999,
 	}
-
-	state := make([]string, 2)
-	for i, mode := range []BinaryMode{BinaryNever, BinaryAlways} {
-		_, c := newFixture(t, WithBinaryIngest(mode))
+	outcomes := map[int]int{} // HTTP status → requests, both encodings agreeing
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
 		ctx := context.Background()
-		if err := c.Register(ctx, "bit", 2); err != nil {
-			t.Fatal(err)
+		srvs := make([]*server.Server, 2)
+		clients := make([]*Client, 2)
+		for i, mode := range []BinaryMode{BinaryNever, BinaryAlways} {
+			srvs[i], clients[i] = newFixture(t, WithBinaryIngest(mode))
 		}
-		res, err := c.IngestRuns(ctx, mkRuns())
-		if err != nil {
-			t.Fatalf("mode %d ingest: %v", mode, err)
+		var jobs []string
+		for j := 0; j < 6; j++ {
+			id := fmt.Sprintf("s%d-j%d", seed, j)
+			nodes := 1 + rng.Intn(4)
+			for _, c := range clients {
+				if err := c.Register(ctx, id, nodes); err != nil {
+					t.Fatal(err)
+				}
+			}
+			jobs = append(jobs, id)
 		}
-		if res.Accepted != 252 {
-			t.Fatalf("mode %d accepted %d", mode, res.Accepted)
+		pool := append(append([]string(nil), jobs...), "ghost", "phantom", "bad/id")
+		for req := 0; req < 8; req++ {
+			var batches []monitor.RunBatch
+			for _, k := range rng.Perm(len(pool))[:1+rng.Intn(4)] {
+				b := monitor.RunBatch{JobID: pool[k]}
+				for r := 1 + rng.Intn(3); r > 0; r-- {
+					run := monitor.Run{Metric: apps.HeadlineMetric, Node: rng.Intn(6)}
+					if rng.Intn(4) == 0 {
+						run.Metric = "Active_meminfo"
+					}
+					off := time.Duration(rng.Intn(140)-5) * time.Second
+					for n := 1 + rng.Intn(40); n > 0; n-- {
+						if rng.Intn(3) == 0 {
+							off += time.Duration(rng.Int63n(int64(time.Second)))
+						}
+						v := 6000 + 1000*float64(rng.Intn(2)) + rng.NormFloat64()
+						if rng.Intn(8) == 0 {
+							v = values[rng.Intn(len(values))]
+						}
+						run.Offsets = append(run.Offsets, off)
+						run.Values = append(run.Values, v)
+						off += time.Second
+					}
+					b.Runs = append(b.Runs, run)
+				}
+				batches = append(batches, b)
+			}
+			jres, jerr := clients[0].IngestRuns(ctx, batches)
+			bres, berr := clients[1].IngestRuns(ctx, batches)
+			var japi, bapi *APIError
+			switch {
+			case jerr == nil && berr == nil:
+				if !reflect.DeepEqual(jres, bres) {
+					t.Fatalf("seed %d request %d: json %+v, binary %+v", seed, req, jres, bres)
+				}
+				outcomes[http.StatusOK]++
+			case errors.As(jerr, &japi) && errors.As(berr, &bapi):
+				if japi.StatusCode != bapi.StatusCode || japi.Code != bapi.Code {
+					t.Fatalf("seed %d request %d: json rejected %d %s, binary %d %s", seed, req, japi.StatusCode, japi.Code, bapi.StatusCode, bapi.Code)
+				}
+				outcomes[japi.StatusCode]++
+			default:
+				t.Fatalf("seed %d request %d: json %+v, %v; binary %+v, %v", seed, req, jres, jerr, bres, berr)
+			}
 		}
-		st, err := c.Result(ctx, "bit")
-		if err != nil {
-			t.Fatal(err)
+		for _, id := range jobs {
+			var states [2]monitor.State
+			for i, srv := range srvs {
+				j, ok := srv.Lookup(id)
+				if !ok {
+					t.Fatalf("job %s vanished", id)
+				}
+				st, err := j.Result()
+				if err != nil {
+					t.Fatal(err)
+				}
+				states[i] = st
+			}
+			if math.Float64bits(states[0].Confidence) != math.Float64bits(states[1].Confidence) {
+				t.Fatalf("seed %d job %s confidence: json %v, binary %v", seed, id, states[0].Confidence, states[1].Confidence)
+			}
+			states[0].Confidence, states[1].Confidence = 0, 0
+			if !reflect.DeepEqual(states[0], states[1]) {
+				t.Fatalf("seed %d job %s diverged:\n json:   %+v\n binary: %+v", seed, id, states[0], states[1])
+			}
 		}
-		raw, _ := json.Marshal(st)
-		state[i] = string(raw)
+		jl, jerr := srvs[0].Jobs(0, 100)
+		bl, berr := srvs[1].Jobs(0, 100)
+		if jerr != nil || berr != nil || !reflect.DeepEqual(jl, bl) {
+			t.Fatalf("seed %d listings differ:\n json:   %+v %v\n binary: %+v %v", seed, jl, jerr, bl, berr)
+		}
 	}
-	if state[0] != state[1] {
-		t.Errorf("JSON and binary ingest diverged:\n json:   %s\n binary: %s", state[0], state[1])
+	// The generator must reach acceptance and both rejections.
+	if outcomes[http.StatusOK] == 0 || outcomes[http.StatusBadRequest] == 0 || outcomes[http.StatusNotFound] == 0 {
+		t.Errorf("outcomes by status %v: a case went unexercised", outcomes)
 	}
+	t.Logf("outcomes by status: %v", outcomes)
 }
 
 // TestBinaryGenuine400DoesNotFallBack: an enveloped 400 from a

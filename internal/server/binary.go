@@ -8,23 +8,21 @@
 //	[4B length][4B CRC-32C][type=2, job, metric, node, count,
 //	 zigzag-varint offset deltas, raw float64 value bits]
 //
-// Compared with the JSON path this skips per-sample decoding
-// entirely: each record lands as two columns that feed
-// Engine.IngestRuns (and, in storage mode, the WAL) directly, and the
-// decoder's buffers are pooled, so a warmed server allocates close to
-// nothing per request beyond the two per-run header strings. Decoding
-// is bit-exact — float64 values round-trip by bits, never through
-// text — so the resulting stream state is bit-identical to the same
-// samples sent as JSON.
+// Each record lands as two columns that feed Engine.IngestRuns (and,
+// in storage mode, the WAL) directly. The JSON path (decode.go) reads
+// the body into the same pooled decoder and allocates nothing per
+// sample either, but it parses two decimal numbers per sample and the
+// engine regroups its rows into runs; here there is neither. A warmed
+// server allocates close to nothing per request beyond the two
+// per-run header strings. Decoding is bit-exact — float64 values
+// round-trip by bits, never through text — so the resulting stream
+// state is bit-identical to the same samples sent as JSON.
 package server
 
 import (
-	"errors"
-	"io"
 	"mime"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/efd/monitor"
@@ -48,44 +46,13 @@ func isRunsContentType(ct string) bool {
 	return strings.ToLower(strings.TrimSpace(ct)) == ContentTypeRuns
 }
 
-// binDecoder is the pooled per-request decode state: the body buffer,
-// one offset/value arena shared by every run of the request, and the
-// run/batch assembly slices. After a request the arena is resized to
-// the request's total sample count, so a steady workload decodes with
-// zero arena growth.
-type binDecoder struct {
-	body    []byte
-	offs    []time.Duration
-	vals    []float64
-	batches []monitor.RunBatch
-}
-
-var binPool = sync.Pool{New: func() any { return new(binDecoder) }}
-
-// readBody reads the (already MaxBytesReader-bounded) body into the
-// pooled buffer.
-func (d *binDecoder) readBody(r io.Reader) error {
-	d.body = d.body[:0]
-	for {
-		if len(d.body) == cap(d.body) {
-			d.body = append(d.body, 0)[:len(d.body)]
-		}
-		n, err := r.Read(d.body[len(d.body):cap(d.body)])
-		d.body = d.body[:len(d.body)+n]
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-// decode walks the body's frames into run batches, grouping
+// decodeRuns walks the body's frames into d.runs, grouping
 // consecutive records of one job (the natural forwarder layout) into
-// a single batch.
-func (d *binDecoder) decode() error {
-	d.batches = d.batches[:0]
+// a single batch. All runs share one offset/value arena; after a
+// request the arena is resized to the request's total sample count,
+// so a steady workload decodes with zero arena growth.
+func (d *decoder) decodeRuns() error {
+	d.runs = d.runs[:0]
 	used := 0
 	total := 0
 	_, _, err := wire.WalkFrames(d.body, func(payload []byte) error {
@@ -104,11 +71,11 @@ func (d *binDecoder) decode() error {
 			used += n
 		}
 		run := monitor.Run{Metric: rec.Metric, Node: rec.Node, Offsets: rec.Offs, Values: rec.Vals}
-		if k := len(d.batches); k > 0 && d.batches[k-1].JobID == rec.Job {
-			d.batches[k-1].Runs = append(d.batches[k-1].Runs, run)
+		if k := len(d.runs); k > 0 && d.runs[k-1].JobID == rec.Job {
+			d.runs[k-1].Runs = append(d.runs[k-1].Runs, run)
 		} else {
-			d.batches = append(d.batches, monitor.RunBatch{JobID: rec.Job, Runs: nil})
-			d.batches[len(d.batches)-1].Runs = append(d.batches[len(d.batches)-1].Runs, run)
+			d.runs = append(d.runs, monitor.RunBatch{JobID: rec.Job, Runs: nil})
+			d.runs[len(d.runs)-1].Runs = append(d.runs[len(d.runs)-1].Runs, run)
 		}
 		return nil
 	})
@@ -122,16 +89,6 @@ func (d *binDecoder) decode() error {
 	return nil
 }
 
-// release returns the decoder to the pool, dropping the per-request
-// run slices (they alias the arena) but keeping the buffers.
-func (d *binDecoder) release() {
-	for i := range d.batches {
-		d.batches[i].Runs = nil
-	}
-	d.batches = d.batches[:0]
-	binPool.Put(d)
-}
-
 // handleSamplesBinary is the application/x-efd-runs branch of
 // POST /v1/samples. Semantics mirror the JSON multi-job form: all
 // records validate before anything feeds, unknown jobs are reported
@@ -143,22 +100,16 @@ func (s *Server) handleSamplesBinary(w http.ResponseWriter, r *http.Request) {
 	if span != nil {
 		t0 = time.Now()
 	}
-	d := binPool.Get().(*binDecoder)
-	defer d.release()
-	if err := d.readBody(r.Body); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, codePayloadTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		httpError(w, http.StatusBadRequest, codeBadRequest, "read body: %v", err)
+	d := s.decoder()
+	defer s.release(d)
+	if !d.readBody(w, r, s.MaxBodyBytes) {
 		return
 	}
 	if len(d.body) == 0 {
 		httpError(w, http.StatusBadRequest, codeBadRequest, "empty ingest request")
 		return
 	}
-	if err := d.decode(); err != nil {
+	if err := d.decodeRuns(); err != nil {
 		httpError(w, http.StatusBadRequest, codeBadRequest, "bad run encoding: %v", err)
 		return
 	}
@@ -166,8 +117,8 @@ func (s *Server) handleSamplesBinary(w http.ResponseWriter, r *http.Request) {
 		span.RecordStage("decode", time.Since(t0))
 		t0 = time.Now()
 	}
-	single := len(d.batches) == 1
-	accepted, unknown, err := s.IngestRuns(d.batches)
+	single := len(d.runs) == 1
+	accepted, unknown, err := s.IngestRuns(d.runs)
 	if span != nil {
 		span.RecordStage("engine", time.Since(t0))
 	}

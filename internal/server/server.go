@@ -40,7 +40,8 @@
 //	{"error": {"code": "not_found", "message": "unknown job \"x\""}}
 //
 // and method rejections answer 405 with an Allow header. Request
-// bodies are bounded by Server.MaxBodyBytes (413 beyond it).
+// bodies are bounded by Server.MaxBodyBytes (413 beyond it), and a
+// JSON body is one value: data after it is a 400.
 package server
 
 import (
@@ -83,12 +84,15 @@ type Server struct {
 	// plain Handler (no EnableObs) serves byte-identical responses to
 	// an uninstrumented build.
 	obs *serverObs
+
+	// decoders holds idle request decoders (decode.go).
+	decoders chan *decoder
 }
 
 // NewEngine returns the HTTP service over an engine the caller built
 // (and possibly pre-loaded).
 func NewEngine(e *monitor.Engine) *Server {
-	return &Server{Engine: e, MaxBodyBytes: DefaultMaxBodyBytes}
+	return &Server{Engine: e, MaxBodyBytes: DefaultMaxBodyBytes, decoders: make(chan *decoder, decoderPool)}
 }
 
 // Handler returns the HTTP handler of the service.
@@ -225,27 +229,6 @@ func methodNotAllowed(w http.ResponseWriter, allow ...string) {
 	httpError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "method not allowed (use %s)", strings.Join(allow, " or "))
 }
 
-// decodeJSON decodes a bounded request body, distinguishing oversized
-// bodies (413) from malformed ones (400). The caller must have
-// wrapped the body with s.limitBody.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, codePayloadTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return false
-		}
-		httpError(w, http.StatusBadRequest, codeBadRequest, "bad JSON: %v", err)
-		return false
-	}
-	return true
-}
-
-// limitBody caps the request body at MaxBodyBytes.
-func (s *Server) limitBody(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.MaxBodyBytes)
-}
-
 // --- handlers ---------------------------------------------------------
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -292,9 +275,8 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	s.limitBody(w, r)
 	var req registerRequest
-	if !decodeJSON(w, r, &req) {
+	if !s.readJSON(w, r, &req) {
 		return
 	}
 	if _, err := s.Register(req.JobID, req.Nodes); err != nil {
@@ -344,7 +326,6 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	s.limitBody(w, r)
 	if isRunsContentType(r.Header.Get("Content-Type")) {
 		s.handleSamplesBinary(w, r)
 		return
@@ -357,16 +338,17 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) {
 	if span != nil {
 		t0 = time.Now()
 	}
-	var req ingestRequest
-	if !decodeJSON(w, r, &req) {
+	d := s.decoder()
+	defer s.release(d)
+	if !d.readBody(w, r, s.MaxBodyBytes) {
 		return
 	}
-	single := len(req.Batches) == 0
-	batches := req.Batches
-	if req.JobID != "" || len(req.Samples) > 0 {
-		batches = append(batches, sampleBatch{JobID: req.JobID, Samples: req.Samples})
+	single, err := d.decodeSamples()
+	if err != nil {
+		httpError(w, http.StatusBadRequest, codeBadRequest, "bad JSON: %v", err)
+		return
 	}
-	if len(batches) == 0 {
+	if len(d.batches) == 0 {
 		httpError(w, http.StatusBadRequest, codeBadRequest, "empty ingest request")
 		return
 	}
@@ -374,7 +356,7 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) {
 		span.RecordStage("decode", time.Since(t0))
 		t0 = time.Now()
 	}
-	accepted, unknown, err := s.IngestBatches(batches)
+	accepted, unknown, err := s.IngestBatches(d.batches)
 	if span != nil {
 		span.RecordStage("engine", time.Since(t0))
 	}
@@ -459,9 +441,8 @@ func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request, id string) 
 		methodNotAllowed(w, http.MethodPost)
 		return
 	}
-	s.limitBody(w, r)
 	var req labelRequest
-	if !decodeJSON(w, r, &req) {
+	if !s.readJSON(w, r, &req) {
 		return
 	}
 	j, ok := s.Lookup(id)

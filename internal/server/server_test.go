@@ -451,6 +451,50 @@ func TestSampleAndQueryErrors(t *testing.T) {
 	}
 }
 
+// TestTrailingDataRejected: a JSON body is one value. Data after it —
+// a second object, garbage — is a 400 on every JSON route, and nothing
+// of the body is fed; a trailing newline, as json.Encoder writes, is
+// accepted.
+func TestTrailingDataRejected(t *testing.T) {
+	s, ts := newTestServer(t)
+	post(t, ts.URL+"/v1/jobs", registerRequest{JobID: "a", Nodes: 2})
+	post(t, ts.URL+"/v1/jobs", registerRequest{JobID: "b", Nodes: 2})
+	send := func(path, body string) (int, map[string]any) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, decode(t, resp)
+	}
+	one := func(job string) string {
+		return `{"job_id":"` + job + `","samples":[{"metric":"` + apps.HeadlineMetric + `","node":0,"offset_s":60,"value":6000},` +
+			`{"metric":"` + apps.HeadlineMetric + `","node":1,"offset_s":60,"value":6000}]}`
+	}
+	for _, c := range []struct{ path, body string }{
+		{"/v1/samples", one("a") + one("b") + "garbage"},
+		{"/v1/samples", one("a") + one("b")},
+		{"/v1/samples", one("a") + " x"},
+		{"/v1/samples", `{"batches":[]}` + one("b")},
+		{"/v1/jobs", `{"job_id":"c","nodes":2} {"job_id":"d","nodes":2}`},
+		{"/v1/jobs/a/label", `{"app":"ft","input":"X"}garbage`},
+	} {
+		code, body := send(c.path, c.body)
+		if code != http.StatusBadRequest || body["error"].(map[string]any)["code"] != codeBadRequest {
+			t.Errorf("POST %s %q: %d %v, want 400 bad_request", c.path, c.body, code, body)
+		}
+	}
+	if st := s.Stats(); st.SamplesAccepted != 0 || st.LiveJobs != 2 {
+		t.Fatalf("rejected bodies changed the engine: %d samples accepted, %d live jobs", st.SamplesAccepted, st.LiveJobs)
+	}
+	if code, body := send("/v1/samples", one("b")+"\n"); code != http.StatusOK || body["accepted"] != float64(2) {
+		t.Errorf("body with a trailing newline: %d %v", code, body)
+	}
+	if code, body := send("/v1/jobs", "\t{\"job_id\":\"c\",\"nodes\":2}\r\n "); code != http.StatusCreated {
+		t.Errorf("registration with surrounding whitespace: %d %v", code, body)
+	}
+}
+
 func TestDeleteJob(t *testing.T) {
 	_, ts := newTestServer(t)
 	post(t, ts.URL+"/v1/jobs", registerRequest{JobID: "tmp", Nodes: 1})

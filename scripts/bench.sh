@@ -13,8 +13,10 @@
 # (BenchmarkClientIngestJSON vs BenchmarkClientIngestBinary: the same
 # columnar batch end-to-end through a live HTTP server as row-form
 # JSON versus application/x-efd-runs wire frames; the binary side must
-# hold >=2x fewer allocs/op, pinned by TestClientIngestAllocRatio)
-# since -bench=. matches them like every other root benchmark.
+# allocate fewer allocs/op, pinned by TestClientIngestAllocRatio) and
+# BenchmarkServerIngestJSON (a 640-sample multi-job JSON body through
+# the handler, with an ns/sample metric), since -bench=. matches them
+# like every other root benchmark.
 #
 # After the bench run the PR 9 observability plane is scraped:
 # TestMetricsSnapshot (root package, METRICS_OUT-gated) drives a
